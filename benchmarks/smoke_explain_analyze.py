@@ -88,10 +88,18 @@ def _run_mix(db: MainMemoryDatabase, rounds: int = 10) -> None:
 
 
 def _selects_total_ops(db: MainMemoryDatabase) -> int:
+    """The five Section-3.1 counters summed.  (``OpCounters.total()``
+    would add the bookkeeping events too — ``plans_built``,
+    ``sql_tokens``, cache hits — and those follow the path: under
+    observability a point lookup takes the statement-level path and is
+    planned, with it off the cached lowered operation runs unplanned.)"""
     with counters_scope() as counters:
         for text in SELECTS:
             db.sql(text)
-    return counters.total()
+    return (
+        counters.comparisons + counters.moves + counters.hashes
+        + counters.traversals + counters.allocations
+    )
 
 
 def _assert_analyze_output(db: MainMemoryDatabase, label: str) -> None:

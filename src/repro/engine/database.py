@@ -130,6 +130,15 @@ class MainMemoryDatabase:
         )
         self.plan_cache = None
         self.result_cache = None
+        # Deferred imports: the SQL layer lowers onto this module.
+        from repro.cache.lru import LRUCache
+        from repro.sql.interpreter import SQLInterpreter
+        from repro.sql.template import TEMPLATE_CAPACITY
+
+        #: Statement templates of ``sql()``, by template key: always on,
+        #: validated by the catalog's schema epoch (see repro.sql.template).
+        self.templates = LRUCache(TEMPLATE_CAPACITY, "template")
+        self._sql_interpreter = SQLInterpreter(self)
         self.observability = None
         self.fault_injector = None
         self.execution_config = None
@@ -1151,21 +1160,19 @@ class MainMemoryDatabase:
         """Render a plan tree."""
         return plan.explain()
 
-    def _interpreter(self):
-        from repro.sql.interpreter import SQLInterpreter
-
-        if not hasattr(self, "_sql_interpreter"):
-            self._sql_interpreter = SQLInterpreter(self)
-        return self._sql_interpreter
-
     def sql(self, text: str):
         """Run one SQL statement (see :mod:`repro.sql` for the dialect).
 
         Returns a :class:`TemporaryList` for SELECT, a plan string for
         EXPLAIN, a list of tuple pointers for INSERT, an affected-row
         count for UPDATE/DELETE, and None for DDL.
+
+        Statements that differ only in their literals share one parsed
+        template (``db.templates``), so a repeated statement shape skips
+        the lexer and parser, and a single-key lookup or an INSERT also
+        skips planning.
         """
-        return self._interpreter().execute(text)
+        return self._sql_interpreter.execute(text)
 
     def prepare(self, text: str):
         """Compile a SQL statement with ``?`` placeholders once.
@@ -1178,8 +1185,9 @@ class MainMemoryDatabase:
             stmt.execute(105)
 
         Parameter values are type-checked against the schema at bind
-        time, and with the plan cache enabled repeated executions skip
-        the lexer, parser, and optimizer.
+        time; executions skip the lexer and parser, a single-key lookup
+        or an INSERT also skips planning, and with the plan cache
+        enabled repeated executions skip the optimizer.
         """
         from repro.sql.prepared import PreparedStatement
 

@@ -78,6 +78,24 @@ class Index(ABC):
         self.unique = unique
         self._count = 0
 
+    def uncounted_key(self) -> Tuple[Callable[[Any], Any], int]:
+        """``(extract, owed)`` for a structure that counts in bulk.
+
+        ``extract`` maps an item to its key without charging anything
+        itself; ``owed`` is the number of pointer traversals the caller
+        must charge per extraction to end up with the totals
+        ``key_of`` would have produced.  A ``key_of`` that carries an
+        ``uncounted`` attribute (``Relation.key_extractor``) is that
+        function minus its one ``count_traverse()``; any other
+        ``key_of`` is returned as it is, owing nothing.  Looked up per
+        operation: ``key_of`` may be swapped on a live index.
+        """
+        key_of = self.key_of
+        uncounted = getattr(key_of, "uncounted", None)
+        if uncounted is None:
+            return key_of, 0
+        return uncounted, 1
+
     # ------------------------------------------------------------------ #
     # core operations
     # ------------------------------------------------------------------ #

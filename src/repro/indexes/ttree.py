@@ -156,41 +156,69 @@ class TTreeIndex(OrderedIndex):
         node.height = 1 + max(_height(node.left), _height(node.right))
 
     # ------------------------------------------------------------------ #
+    # counting
+    #
+    # The search routines below sit on every statement's path, so they
+    # do not call ``count_compare()`` / ``count_traverse()`` per step:
+    # each takes the index's uncounted key extractor and the traversals
+    # owed per extraction (``Index.uncounted_key``), keeps its
+    # comparisons and traversals in local ints, and charges them once on
+    # the way out — also when a comparison raises.  The totals are the
+    # ones the per-step calls produced.
+    # ------------------------------------------------------------------ #
+
+    # ------------------------------------------------------------------ #
     # in-node binary search
     # ------------------------------------------------------------------ #
 
-    def _lower_bound(self, node: _TNode, key: Any) -> int:
+    def _lower_bound(
+        self, node: _TNode, key: Any, key_of: Callable, owed: int
+    ) -> int:
         # One traversal-equivalent per probe models the binary search's
         # arithmetic — "some time is lost in binary searching the final
         # node", which is why T-Tree search costs slightly more than AVL.
-        lo, hi = 0, len(node.items)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            count_compare()
-            count_traverse()
-            if self._key(node.items[mid]) < key:
-                lo = mid + 1
-            else:
-                hi = mid
+        items = node.items
+        lo, hi = 0, len(items)
+        probes = 0
+        try:
+            while lo < hi:
+                mid = (lo + hi) // 2
+                probes += 1
+                if key_of(items[mid]) < key:
+                    lo = mid + 1
+                else:
+                    hi = mid
+        finally:
+            count_compare(probes)
+            count_traverse(probes * (1 + owed))
         return lo
 
-    def _upper_bound(self, node: _TNode, key: Any) -> int:
-        lo, hi = 0, len(node.items)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            count_compare()
-            count_traverse()
-            if key < self._key(node.items[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
+    def _upper_bound(
+        self, node: _TNode, key: Any, key_of: Callable, owed: int
+    ) -> int:
+        items = node.items
+        lo, hi = 0, len(items)
+        probes = 0
+        try:
+            while lo < hi:
+                mid = (lo + hi) // 2
+                probes += 1
+                if key < key_of(items[mid]):
+                    hi = mid
+                else:
+                    lo = mid + 1
+        finally:
+            count_compare(probes)
+            count_traverse(probes * (1 + owed))
         return lo
 
     # ------------------------------------------------------------------ #
     # descent
     # ------------------------------------------------------------------ #
 
-    def _find_bounding(self, key: Any) -> Tuple[Optional[_TNode], Optional[_TNode], int]:
+    def _find_bounding(
+        self, key: Any, key_of: Callable, owed: int
+    ) -> Tuple[Optional[_TNode], Optional[_TNode], int]:
         """Binary-tree search for the node bounding ``key``.
 
         Returns ``(bounding_node, last_node, direction)``: when no node
@@ -200,20 +228,28 @@ class TTreeIndex(OrderedIndex):
         """
         node = self._root
         last, direction = None, 0
-        while node is not None:
-            count_compare()
-            if key < self._key(node.items[0]):
-                last, direction = node, -1
-                count_traverse()
-                node = node.left
-                continue
-            count_compare()
-            if key > self._key(node.items[-1]):
-                last, direction = node, 1
-                count_traverse()
-                node = node.right
-                continue
-            return node, node, 0
+        # Every comparison extracts one key; every descent follows one
+        # child pointer.
+        comparisons = descents = 0
+        try:
+            while node is not None:
+                items = node.items
+                comparisons += 1
+                if key < key_of(items[0]):
+                    last, direction = node, -1
+                    descents += 1
+                    node = node.left
+                    continue
+                comparisons += 1
+                if key > key_of(items[-1]):
+                    last, direction = node, 1
+                    descents += 1
+                    node = node.right
+                    continue
+                return node, node, 0
+        finally:
+            count_compare(comparisons)
+            count_traverse(descents + comparisons * owed)
         return None, last, direction
 
     # ------------------------------------------------------------------ #
@@ -221,13 +257,15 @@ class TTreeIndex(OrderedIndex):
     # ------------------------------------------------------------------ #
 
     def search(self, key: Any) -> Optional[Any]:
-        bounding, __, __ = self._find_bounding(key)
+        key_of, owed = self.uncounted_key()
+        bounding, __, __ = self._find_bounding(key, key_of, owed)
         if bounding is None:
             return None
-        pos = self._lower_bound(bounding, key)
+        pos = self._lower_bound(bounding, key, key_of, owed)
         if pos < len(bounding.items):
-            count_compare()
-            if self._key(bounding.items[pos]) == key:
+            count_compare(1)
+            count_traverse(owed)
+            if key_of(bounding.items[pos]) == key:
                 return bounding.items[pos]
         return None
 
@@ -239,54 +277,78 @@ class TTreeIndex(OrderedIndex):
         that position (since the list of tuples for a given value is
         logically contiguous in the tree)".
         """
-        located = self._locate_first(key)
+        key_of, owed = self.uncounted_key()
+        located = self._locate_first(key, key_of, owed)
         if located is None:
             return []
         node, pos = located
         result = []
-        while True:
-            while pos < len(node.items):
-                count_compare()
-                if self._key(node.items[pos]) != key:
+        comparisons = 0
+        try:
+            while True:
+                items = node.items
+                while pos < len(items):
+                    comparisons += 1
+                    if key_of(items[pos]) != key:
+                        return result
+                    result.append(items[pos])
+                    pos += 1
+                nxt = self._successor_node(node)
+                if nxt is None:
                     return result
-                result.append(node.items[pos])
-                pos += 1
-            nxt = self._successor_node(node)
-            if nxt is None:
-                return result
-            node, pos = nxt, 0
+                node, pos = nxt, 0
+        finally:
+            count_compare(comparisons)
+            count_traverse(comparisons * owed)
 
-    def _locate_first(self, key: Any) -> Optional[Tuple[_TNode, int]]:
+    def _locate_first(
+        self, key: Any, key_of: Callable, owed: int
+    ) -> Optional[Tuple[_TNode, int]]:
         """The in-order first occurrence of ``key`` as ``(node, pos)``.
 
         With duplicates, equal keys may spill into in-order predecessor
         nodes, so after finding a bounding match we walk backwards while
         the preceding item still carries the key.
         """
-        bounding, __, __ = self._find_bounding(key)
+        bounding, __, __ = self._find_bounding(key, key_of, owed)
         if bounding is None:
             return None
-        pos = self._lower_bound(bounding, key)
+        pos = self._lower_bound(bounding, key, key_of, owed)
         node = bounding
-        if pos == len(node.items) or self._key(node.items[pos]) != key:
-            count_compare()
-            return None
-        count_compare()
-        # Walk backwards across node boundaries while predecessors match.
-        while pos == 0:
-            prev = self._predecessor_node(node)
-            if prev is None or not prev.items:
-                break
-            count_compare()
-            if self._key(prev.items[-1]) != key:
-                break
-            node, pos = prev, len(prev.items) - 1
-            while pos > 0:
-                count_compare()
-                if self._key(node.items[pos - 1]) != key:
+        comparisons = extractions = 0
+        try:
+            # The match test costs one comparison either way, and one
+            # extraction unless the position is past the node's end.
+            if pos == len(node.items):
+                comparisons = 1
+                return None
+            extractions = 1
+            differs = key_of(node.items[pos]) != key
+            comparisons = 1
+            if differs:
+                return None
+            # Walk backwards across node boundaries while predecessors
+            # match.
+            while pos == 0:
+                prev = self._predecessor_node(node)
+                if prev is None or not prev.items:
                     break
-                pos -= 1
-        return node, pos
+                comparisons += 1
+                extractions += 1
+                if key_of(prev.items[-1]) != key:
+                    break
+                node, pos = prev, len(prev.items) - 1
+                items = node.items
+                while pos > 0:
+                    comparisons += 1
+                    extractions += 1
+                    if key_of(items[pos - 1]) != key:
+                        break
+                    pos -= 1
+            return node, pos
+        finally:
+            count_compare(comparisons)
+            count_traverse(extractions * owed)
 
     # ------------------------------------------------------------------ #
     # in-order neighbours (via parent pointers, as in Figure 4)
@@ -330,24 +392,28 @@ class TTreeIndex(OrderedIndex):
             self._root = self._new_node([item])
             self._count += 1
             return
-        bounding, last, direction = self._find_bounding(key)
+        key_of, owed = self.uncounted_key()
+        bounding, last, direction = self._find_bounding(key, key_of, owed)
         if bounding is not None:
-            self._insert_bounding(bounding, item, key)
+            self._insert_bounding(bounding, item, key, key_of, owed)
         elif direction < 0:
             self._insert_edge(last, item, at_front=True)
         else:
             self._insert_edge(last, item, at_front=False)
         self._count += 1
 
-    def _insert_bounding(self, node: _TNode, item: Any, key: Any) -> None:
+    def _insert_bounding(
+        self, node: _TNode, item: Any, key: Any, key_of: Callable, owed: int
+    ) -> None:
         if self.unique:
-            pos = self._lower_bound(node, key)
+            pos = self._lower_bound(node, key, key_of, owed)
             if pos < len(node.items):
-                count_compare()
-                if self._key(node.items[pos]) == key:
+                count_compare(1)
+                count_traverse(owed)
+                if key_of(node.items[pos]) == key:
                     raise DuplicateKeyError(f"ttree: duplicate key {key!r}")
         else:
-            pos = self._upper_bound(node, key)
+            pos = self._upper_bound(node, key, key_of, owed)
         if len(node.items) < self.max_count:
             count_move(len(node.items) - pos + 1)
             node.items.insert(pos, item)
@@ -460,7 +526,7 @@ class TTreeIndex(OrderedIndex):
         self._fix_after_delete(node)
 
     def _locate_item(self, key: Any, item: Any) -> Optional[Tuple[_TNode, int]]:
-        located = self._locate_first(key)
+        located = self._locate_first(key, *self.uncounted_key())
         if located is None:
             return None
         node, pos = located
@@ -628,7 +694,9 @@ class TTreeIndex(OrderedIndex):
                 count_traverse()
                 node = node.right
                 continue
-            start = (node, self._lower_bound(node, key))
+            start = (
+                node, self._lower_bound(node, key, *self.uncounted_key())
+            )
             break
         if start is None:
             return
@@ -639,7 +707,7 @@ class TTreeIndex(OrderedIndex):
         if pos < len(node.items):
             count_compare()
             if self._key(node.items[pos]) == key:
-                located = self._locate_first(key)
+                located = self._locate_first(key, *self.uncounted_key())
                 if located is not None:
                     node, pos = located
         while node is not None:

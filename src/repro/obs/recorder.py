@@ -12,9 +12,11 @@ per-fingerprint :class:`StatementProfile` whose fixed-bucket histograms
 answer p50/p95/p99 queries (the measurement side of the forecast-vs.-
 observed loop the ROADMAP's serving tier needs).
 
-Fingerprints are the plan cache's normalized SQL (so literal spacing
-differences collapse) tagged with a short stable hash — compact enough
-for hotspot tables, stable across processes and sessions.
+Fingerprints hash the statement's *template key* (the text with its
+literals lifted out, see :mod:`repro.sql.template`), so ``Id = 17`` and
+``Id = 18`` — and spacing differences — fold into one profile: a point
+workload has a handful of profiles, not one per key.  The hash is short
+and stable across processes and sessions.
 """
 
 from __future__ import annotations
@@ -42,13 +44,20 @@ _CACHE_LAYERS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def fingerprint_sql(sql: str) -> str:
-    """A short stable fingerprint for one normalized statement."""
-    from repro.cache.plan_cache import normalize_sql
+def statement_shape(sql: str) -> str:
+    """The statement with its literals lifted out (its template key)."""
+    from repro.sql.template import lift
 
-    normalized = normalize_sql(sql)
-    digest = hashlib.sha1(normalized.encode("utf-8")).hexdigest()[:8]
-    return digest
+    return lift(sql)[0]
+
+
+def _digest(shape: str) -> str:
+    return hashlib.sha1(shape.encode("utf-8")).hexdigest()[:8]
+
+
+def fingerprint_sql(sql: str) -> str:
+    """A short stable fingerprint for one statement shape."""
+    return _digest(statement_shape(sql))
 
 
 def cache_outcome(counters: OpCounters) -> str:
@@ -77,7 +86,8 @@ class FlightRecord:
 
 
 class StatementProfile:
-    """Aggregated measurements for one SQL fingerprint."""
+    """Aggregated measurements for one SQL fingerprint; ``sql`` is the
+    statement shape the fingerprint hashes."""
 
     __slots__ = (
         "fingerprint", "sql", "calls", "total_seconds", "total_ops",
@@ -134,7 +144,7 @@ class FlightRecorder:
     keeps current.  All bookkeeping is O(buckets) per statement with no
     unbounded growth: the ring is a ``deque(maxlen=...)`` and profiles
     hold fixed-bucket histograms (profiles themselves are keyed by
-    fingerprint, bounded by the workload's distinct-statement count).
+    fingerprint, bounded by the workload's count of statement shapes).
     """
 
     def __init__(
@@ -159,7 +169,8 @@ class FlightRecorder:
         workers: int = 1,
     ) -> FlightRecord:
         """Fold one finished statement in; returns the retained record."""
-        fingerprint = fingerprint_sql(sql)
+        shape = statement_shape(sql)
+        fingerprint = _digest(shape)
         total_ops = counters.total()
         cache = cache_outcome(counters)
         record = FlightRecord(
@@ -176,7 +187,7 @@ class FlightRecorder:
         profile = self._profiles.get(fingerprint)
         if profile is None:
             profile = StatementProfile(
-                fingerprint, sql, self.latency_buckets, self.ops_buckets
+                fingerprint, shape, self.latency_buckets, self.ops_buckets
             )
             self._profiles[fingerprint] = profile
         profile.observe(elapsed, total_ops, cache)

@@ -150,6 +150,29 @@ def plan_descriptor(plan: PlanNode, catalog: Catalog) -> ResultDescriptor:
     raise PlanError(f"unknown plan node {type(plan).__name__}")
 
 
+def lookup_index(relation: Relation, node: IndexLookupNode):
+    """The index an exact-match lookup node probes.
+
+    Shared by the executor and by the lowered point operations of
+    :mod:`repro.sql.template`, so both resolve ``prefer`` the same way.
+    """
+    index = None
+    if node.prefer in (None, "hash"):
+        index = relation.index_on(node.field_name, ordered=False)
+    if index is None and node.prefer in (None, "tree"):
+        index = relation.index_on(node.field_name, ordered=True)
+    if index is None and node.prefer == "hash":
+        raise PlanError(
+            f"{node.relation_name}.{node.field_name} has no hash index"
+        )
+    if index is None:
+        raise PlanError(
+            f"{node.relation_name}.{node.field_name} has no index; "
+            "use a Scan with a predicate instead"
+        )
+    return index
+
+
 class Executor:
     """Evaluates plan trees against a catalog.
 
@@ -237,21 +260,7 @@ class Executor:
 
     def _execute_lookup(self, node: IndexLookupNode) -> TemporaryList:
         relation = self.catalog.relation(node.relation_name)
-        index = None
-        if node.prefer in (None, "hash"):
-            index = relation.index_on(node.field_name, ordered=False)
-        if index is None and node.prefer in (None, "tree"):
-            index = relation.index_on(node.field_name, ordered=True)
-        if index is None and node.prefer == "hash":
-            raise PlanError(
-                f"{node.relation_name}.{node.field_name} has no hash index"
-            )
-        if index is None:
-            raise PlanError(
-                f"{node.relation_name}.{node.field_name} has no index; "
-                "use a Scan with a predicate instead"
-            )
-        refs = index.probe_all(node.key)
+        refs = lookup_index(relation, node).probe_all(node.key)
         return TemporaryList.from_refs(relation, refs)
 
     def _execute_multi_lookup(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
-from repro.cache.plan_cache import normalize_sql
 from repro.errors import QueryError, SchemaError
 from repro.obs import runtime as obs_runtime
 from repro.query.predicates import (
@@ -22,7 +21,8 @@ from repro.query.predicates import (
     between,
 )
 from repro.sql import parser as ast
-from repro.sql.prepared import contains_parameters
+from repro.sql.prepared import PreparedStatement, bind_statement
+from repro.sql.template import lift, parse_template
 from repro.storage.schema import Field, FieldType, ForeignKey
 from repro.storage.temporary import TemporaryList
 
@@ -94,9 +94,12 @@ class SQLInterpreter:
         EXPLAIN, a list of tuple pointers for INSERT, an affected-row
         count for UPDATE/DELETE, and None for DDL.
 
-        With the plan cache installed, repeat statements skip the lexer
-        and parser (keyed on normalized text); SELECTs additionally reuse
-        their optimized plan and, via the result cache, their results.
+        The literals are lifted out of the text first; statements of a
+        shape seen before skip the lexer and parser, and the ones whose
+        plan does not depend on the literals run a lowered operation
+        (see :mod:`repro.sql.template`).  With the plan cache installed,
+        SELECTs additionally reuse their optimized plan and, via the
+        result cache, their results.
 
         With observability active, the whole statement runs inside a root
         ``query`` span (or, with tracing off, a plain roll-up counter
@@ -104,9 +107,9 @@ class SQLInterpreter:
         """
         obs = obs_runtime.active()
         if obs is None:
-            return self._execute_statement(text)
+            return self._execute_statement(text, None)
         with obs.measure_query(text) as root:
-            result = self._execute_statement(text)
+            result = self._execute_statement(text, obs)
             if root is not None:
                 try:
                     root.rows_out = len(result)
@@ -114,46 +117,91 @@ class SQLInterpreter:
                     pass
             return result
 
-    def _execute_statement(self, text: str):
+    def _execute_statement(self, text: str, obs):
+        key, params = lift(text)
+        template = self._template(text, key, params, obs)
+        operation = template.operation()
+        if operation is not None:
+            return operation(params)
+        # The key and the lifted values name the text in every cache.
+        cache_key = ("sql", key, params)
         plan_cache = self.db.plan_cache
-        key = None
         statement = None
         if plan_cache is not None:
-            key = normalize_sql(text)
-            statement = plan_cache.statement_for(key)
+            statement = plan_cache.statement_for(cache_key)
         if statement is None:
-            with obs_runtime.span("parse", "phase"):
-                statement = ast.parse_statement(text)
+            statement = bind_statement(template.statement, params)
             if plan_cache is not None:
-                plan_cache.store_statement(key, statement)
-        if contains_parameters(statement):
-            raise QueryError(
-                "statement contains ? placeholders; use db.prepare(...) "
-                "and execute with bound values"
-            )
-        plan_key = None
-        if isinstance(statement, ast.Select) and (
-            plan_cache is not None or self.db.result_cache is not None
-        ):
-            plan_key = ("sql", key if key is not None else normalize_sql(text))
-            # Ordering modes plan the same SQL differently; keep their
-            # cached plans and results apart.
-            mode = getattr(self.db.optimizer, "join_ordering", "written")
-            if mode != "written":
-                plan_key = plan_key + (mode,)
-        return self.run_statement(statement, plan_key)
+                plan_cache.store_statement(cache_key, statement)
+        return self.run_statement(statement, self.plan_key(cache_key))
+
+    def plan_key(self, cache_key: tuple) -> Optional[tuple]:
+        """The plan- and result-cache key of the statement ``cache_key``
+        names, or None when neither cache is installed."""
+        db = self.db
+        if db.plan_cache is None and db.result_cache is None:
+            return None
+        # Ordering modes plan the same SQL differently; keep their
+        # cached plans and results apart.
+        mode = getattr(db.optimizer, "join_ordering", "written")
+        if mode != "written":
+            return cache_key + (mode,)
+        return cache_key
+
+    def _template(self, text: str, key: str, params, obs):
+        """The statement of ``text`` with its lifted literals as slots:
+        from the template store, or compiled (and stored) now.
+
+        A stored template is valid for the schema epoch it was compiled
+        under.  DDL is compiled but not stored (it ends the epoch), and
+        neither is a text containing a ``?``, which could spell one of
+        the key's typed markers.
+        """
+        db = self.db
+        templates = db.templates
+        storable = "?" not in text
+        if storable:
+            template = templates.get(key)
+            if template is None:
+                outcome = "miss"
+            elif template.epoch == db.catalog.schema_epoch:
+                outcome = "hit"
+            else:
+                templates.invalidate(key)
+                outcome = "stale"
+            if obs is not None:
+                obs.metric_inc(
+                    "cache_requests_total", layer="template", outcome=outcome
+                )
+            if outcome == "hit":
+                return template
+        with obs_runtime.span("parse", "phase"):
+            statement, templated = parse_template(text, params)
+        template = PreparedStatement(db, key, statement)
+        if not templated:
+            if template.parameter_count:
+                raise QueryError(
+                    "statement contains ? placeholders; use db.prepare(...) "
+                    "and execute with bound values"
+                )
+        elif storable and type(statement) in _TEMPLATED:
+            if not template.accepts(params):
+                # A literal of the wrong kind for its column: the bound
+                # path raises (or answers) exactly as the statement does.
+                template.lowered = None
+            templates.put(key, template)
+        return template
 
     def run_statement(self, statement, plan_key=None):
         """Run an already-parsed statement.
 
         ``plan_key`` (when caching is enabled) identifies the statement
-        in the plan and result caches; prepared statements pass a key
-        that includes their bound parameter values.
+        in the plan and result caches; it includes the values in the
+        statement's slots.
         """
-        if isinstance(statement, ast.Select):
+        if type(statement) is ast.Select:
             return self._run_select(statement, plan_key)
-        handler = getattr(self, f"_run_{type(statement).__name__.lower()}")
-        return handler(statement)
+        return self._HANDLERS[type(statement)](self, statement)
 
     # ------------------------------------------------------------------ #
     # DDL
@@ -752,3 +800,22 @@ class SQLInterpreter:
             else:
                 obs_runtime.activate(previous)
         return render_analyze(root, self.db.catalog, self.db.optimizer)
+
+    #: Statement type -> handler (``Select`` is dispatched by hand: it
+    #: alone takes the plan key).
+    _HANDLERS = {
+        ast.CreateTable: _run_createtable,
+        ast.CreateIndex: _run_createindex,
+        ast.DropTable: _run_droptable,
+        ast.DropIndex: _run_dropindex,
+        ast.Insert: _run_insert,
+        ast.Update: _run_update,
+        ast.Delete: _run_delete,
+        ast.Explain: _run_explain,
+    }
+
+
+#: Statement types the template store keeps.
+_TEMPLATED = frozenset(
+    (ast.Select, ast.Insert, ast.Update, ast.Delete, ast.Explain)
+)

@@ -41,18 +41,33 @@ KEYWORDS = {
     "VALUES", "WHERE",
 }
 
+#: The literal and identifier sub-patterns.  :mod:`repro.sql.template`
+#: builds its literal lifter from the same strings, so the lifter and the
+#: lexer cannot disagree about where a literal starts and ends.
+FLOAT_PATTERN = r"\d+\.\d+"
+INT_PATTERN = r"\d+"
+STRING_PATTERN = r"'(?:[^']|'')*'"
+IDENT_START = "A-Za-z_"
+IDENT_CONTINUE = "A-Za-z_0-9."
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<space>\s+)
-  | (?P<float>\d+\.\d+)
-  | (?P<int>\d+)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9.]*)
+  | (?P<float>{FLOAT_PATTERN})
+  | (?P<int>{INT_PATTERN})
+  | (?P<string>{STRING_PATTERN})
+  | (?P<ident>[{IDENT_START}][{IDENT_CONTINUE}]*)
   | (?P<op><=|>=|!=|<>|=|<|>)
   | (?P<punct>[(),;*?])
     """,
     re.VERBOSE,
 )
+
+
+def unquote(literal: str) -> str:
+    """The value of a quoted string literal: quotes stripped, embedded
+    ``''`` un-doubled."""
+    return literal[1:-1].replace("''", "'")
 
 
 @dataclass(frozen=True)
@@ -89,9 +104,9 @@ def tokenize(text: str) -> List[Token]:
             elif kind == "float":
                 tokens.append(Token(TokenType.FLOAT, value, position))
             elif kind == "string":
-                # Strip quotes, un-double embedded quotes.
-                body = value[1:-1].replace("''", "'")
-                tokens.append(Token(TokenType.STRING, body, position))
+                tokens.append(
+                    Token(TokenType.STRING, unquote(value), position)
+                )
             elif kind == "op":
                 canonical = "!=" if value == "<>" else value
                 tokens.append(Token(TokenType.OP, canonical, position))

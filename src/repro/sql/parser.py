@@ -52,6 +52,7 @@ __all__ = [
     "JoinClause",
     "SQLSyntaxError",
     "parse_statement",
+    "parse_tokens",
     "CreateTable",
     "CreateIndex",
     "DropTable",
@@ -596,6 +597,11 @@ class _Parser:
         return Delete(table, conditions)
 
 
+def parse_tokens(tokens: List[Token]):
+    """Parse one statement's token stream into its AST dataclass."""
+    return _Parser(tokens).statement()
+
+
 def parse_statement(text: str):
     """Parse one SQL statement into its AST dataclass."""
-    return _Parser(tokenize(text)).statement()
+    return parse_tokens(tokenize(text))

@@ -1,12 +1,21 @@
 """Prepared statements: parse and type-infer once, bind per execution.
 
 ``MainMemoryDatabase.prepare("SELECT ... WHERE Id = ?")`` lowers the
-statement through the lexer and parser exactly once.  Each ``execute``
-call type-checks the supplied values against the schema (inferred at
-prepare time from the parameter's syntactic position), substitutes them
-into a fresh AST, and runs it — with the plan cache enabled, repeated
-executions with equal parameters also skip the optimizer and, on a
-read-only workload, the executor itself.
+statement through the lexer and parser exactly once, and ``db.sql()``
+keeps one :class:`PreparedStatement` per statement *shape* in the
+template store (its ``?`` slots are the literals
+:func:`repro.sql.template.lift` took out of the text).  Either way a
+statement whose plan does not depend on the slot values executes its
+lowered operation (:func:`repro.sql.template.lower`, gated by
+:meth:`PreparedStatement.operation`); every other one binds the values
+into a fresh AST and takes ``SQLInterpreter.run_statement`` — with the
+plan cache enabled, repeated executions with equal values also skip the
+optimizer and, on a read-only workload, the executor itself.
+
+This module holds the only slot-typing and binding code: the expected
+type of a slot is inferred from its syntactic position against the
+schema, ``execute`` checks user-supplied values against it, and the
+template store asks :meth:`PreparedStatement.accepts` once per shape.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ import dataclasses
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, QueryError, SchemaError
+from repro.obs import runtime as obs_runtime
 from repro.sql.parser import (
     Condition,
     ConditionGroup,
@@ -26,12 +36,8 @@ from repro.sql.parser import (
     Update,
     parse_statement,
 )
+from repro.sql.template import lift, lower
 from repro.storage.schema import FieldType
-
-
-def contains_parameters(statement) -> bool:
-    """Whether any ``?`` placeholder remains in the statement."""
-    return bool(_parameter_slots(statement))
 
 
 def _condition_parameters(conditions) -> List[Tuple[Parameter, str]]:
@@ -97,7 +103,9 @@ def _bind_conditions(conditions, values: Sequence[Any]):
 def bind_statement(statement, values: Sequence[Any]):
     """A copy of ``statement`` with every ``?`` replaced by its value."""
     if isinstance(statement, Explain):
-        return Explain(bind_statement(statement.select, values))
+        return Explain(
+            bind_statement(statement.select, values), statement.analyze
+        )
     if isinstance(statement, (Select, Delete)):
         return dataclasses.replace(
             statement, conditions=_bind_conditions(statement.conditions, values)
@@ -128,26 +136,43 @@ def bind_statement(statement, values: Sequence[Any]):
 
 
 class PreparedStatement:
-    """A parsed, type-inferred SQL statement with ``?`` placeholders."""
+    """A parsed, type-inferred SQL statement with ``?`` placeholders.
 
-    def __init__(self, db, text: str) -> None:
+    ``statement`` is given by the template store, whose statements are
+    parsed from a token stream rather than from ``text``.
+    """
+
+    def __init__(self, db, text: str, statement=None) -> None:
         self.db = db
         self.text = text
-        self.statement = parse_statement(text)
-        slots = _parameter_slots(self.statement)
-        indices = sorted({param.index for param, __, __ in slots})
+        self.statement = (
+            statement if statement is not None else parse_statement(text)
+        )
+        self._slots = _parameter_slots(self.statement)
+        indices = sorted({param.index for param, __, __ in self._slots})
         self.parameter_count = len(indices)
         if indices != list(range(self.parameter_count)):
             raise QueryError("malformed parameter numbering")  # pragma: no cover
-        # Expected logical type per parameter, inferred from the schema
-        # at prepare time (None when the position gives no information).
+        #: Names a ``db.prepare`` statement in the plan and result
+        #: caches, together with the bound values (set by ``execute``;
+        #: the template store's statements are keyed by their caller).
+        self._cache_key: Optional[tuple] = None
+        self._resolve()
+
+    def _resolve(self) -> None:
+        """(Re)derive what depends on the schema: the expected logical
+        type per parameter (None when the position gives no information)
+        and the lowered operation.  Both are valid for one schema epoch.
+        """
+        self.epoch = self.db.catalog.schema_epoch
         self.parameter_types: List[Optional[FieldType]] = [
             None
         ] * self.parameter_count
-        for param, column, position in slots:
+        for param, column, position in self._slots:
             inferred = self._infer_type(column, position)
             if inferred is not None:
                 self.parameter_types[param.index] = inferred
+        self.lowered = lower(self.db, self.statement)
 
     # -- type inference ----------------------------------------------------
 
@@ -192,10 +217,10 @@ class PreparedStatement:
         except CatalogError:
             return None
 
-    # -- execution ---------------------------------------------------------
+    # -- binding -----------------------------------------------------------
 
-    def bind(self, *values: Any):
-        """Type-check ``values`` and return the bound AST."""
+    def _check(self, values: Sequence[Any]) -> None:
+        """Raise :class:`QueryError` unless ``values`` fit the slots."""
         if len(values) != self.parameter_count:
             raise QueryError(
                 f"statement takes {self.parameter_count} parameter(s), "
@@ -211,35 +236,65 @@ class PreparedStatement:
                 raise QueryError(
                     f"parameter {index + 1}: {exc}"
                 ) from None
+
+    def accepts(self, values: Sequence[Any]) -> bool:
+        """Whether ``values`` pass the slot type checks."""
+        try:
+            self._check(values)
+        except QueryError:
+            return False
+        return True
+
+    def bind(self, *values: Any):
+        """Type-check ``values`` and return the bound AST."""
+        self._check(values)
         return bind_statement(self.statement, values)
 
+    # -- execution ---------------------------------------------------------
+
+    def operation(self):
+        """The lowered operation if it may run now, else None.
+
+        It may not when something needs the statement-level path:
+        observability wants its spans and probe metrics, a result cache
+        its lookups and stores.
+        """
+        if (
+            self.lowered is not None
+            and self.db.result_cache is None
+            and obs_runtime.active() is None
+        ):
+            return self.lowered
+        return None
+
     def execute(self, *values: Any):
-        """Bind ``values`` and run the statement.
+        """Type-check ``values``, then run the statement with them.
 
         Returns whatever ``db.sql`` would for the same statement type.
         """
-        bound = self.bind(*values)
-        interpreter = self.db._interpreter()
+        if self.epoch != self.db.catalog.schema_epoch:
+            self._resolve()
+        self._check(values)
+        operation = self.operation()
+        if operation is not None:
+            return operation(values)
+        interpreter = self.db._sql_interpreter
         plan_key = None
-        if self.db.plan_cache is not None or self.db.result_cache is not None:
-            from repro.cache.plan_cache import normalize_sql
-
-            try:
-                hash(values)
-            except TypeError:
-                pass  # unhashable binding: run uncached
-            else:
-                plan_key = ("prepared", normalize_sql(self.text), values)
-                mode = getattr(
-                    self.db.optimizer, "join_ordering", "written"
-                )
-                if mode != "written":
-                    plan_key = plan_key + (mode,)
-        return interpreter.run_statement(bound, plan_key)
+        try:
+            hash(values)
+        except TypeError:
+            pass  # unhashable binding: run uncached
+        else:
+            if self._cache_key is None:
+                self._cache_key = ("prepared",) + lift(self.text)
+            plan_key = interpreter.plan_key(self._cache_key + (values,))
+        return interpreter.run_statement(
+            bind_statement(self.statement, values), plan_key
+        )
 
     def explain(self, *values: Any) -> str:
         """Plan description for this statement with ``values`` bound."""
         bound = self.bind(*values)
         if not isinstance(bound, Select):
             raise QueryError("explain requires a SELECT statement")
-        return self.db._interpreter().run_statement(Explain(bound), None)
+        return self.db._sql_interpreter.run_statement(Explain(bound), None)

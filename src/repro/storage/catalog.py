@@ -20,6 +20,15 @@ class Catalog:
 
     def __init__(self) -> None:
         self._relations: Dict[str, Relation] = {}
+        #: Advanced by DDL only — creating or dropping a relation or an
+        #: index, and rebuilding indexes after a reload — never by DML
+        #: (which moves ``Relation.version`` on every statement).  What
+        #: is compiled against the schema and holds index objects (the
+        #: SQL layer's statement templates) is valid for one epoch.
+        self.schema_epoch = 0
+
+    def bump_schema_epoch(self) -> None:
+        self.schema_epoch += 1
 
     def __contains__(self, name: str) -> bool:
         return name in self._relations
@@ -52,7 +61,9 @@ class Catalog:
                     f"{fk.relation!r}"
                 )
         relation = Relation(name, schema, partition_config)
+        relation.on_schema_change = self.bump_schema_epoch
         self._relations[name] = relation
+        self.bump_schema_epoch()
         return relation
 
     def relation(self, name: str) -> Relation:
@@ -77,6 +88,7 @@ class Catalog:
                         f"{other.name}.{field.name}"
                     )
         del self._relations[name]
+        self.bump_schema_epoch()
 
     def all_partitions(self) -> List[Tuple[str, Partition]]:
         """Every (relation name, partition) pair — the recovery unit list."""

@@ -75,7 +75,7 @@ class Partition:
         self.config = config if config is not None else PartitionConfig()
         self._slots: List[object] = []
         self._free_slots: List[int] = []
-        self._heap = bytearray(self.config.heap_capacity)
+        self._heap_space: Optional[bytearray] = None
         self._heap_used = 0
         self._live = 0
         # Monotone version number, bumped on every mutation.  The recovery
@@ -111,6 +111,15 @@ class Partition:
     # ------------------------------------------------------------------ #
     # heap
     # ------------------------------------------------------------------ #
+
+    @property
+    def _heap(self) -> bytearray:
+        """The heap space, allocated on first use: a partition of
+        fixed-size fields never pays for it."""
+        heap = self._heap_space
+        if heap is None:
+            heap = self._heap_space = bytearray(self.config.heap_capacity)
+        return heap
 
     def _heap_store(self, value: str) -> HeapPtr:
         data = value.encode("utf-8")
@@ -217,7 +226,7 @@ class Partition:
                 new_heap[used : used + len(data)] = data
                 entry[position] = HeapPtr(used, len(data))
                 used += len(data)
-        self._heap = new_heap
+        self._heap_space = new_heap
         self._heap_used = used
         self._touch()
 
@@ -336,7 +345,11 @@ class Partition:
                 for entry in self._slots
             ],
             "free": list(self._free_slots),
-            "heap": bytes(self._heap),
+            "heap": bytes(
+                self._heap_space
+                if self._heap_space is not None
+                else self.config.heap_capacity
+            ),
             "heap_used": self._heap_used,
             "live": self._live,
             "version": self.version,
@@ -373,7 +386,8 @@ class Partition:
             for tag in state["slots"]
         ]
         part._free_slots = list(state["free"])
-        part._heap = bytearray(state["heap"])
+        if state["heap_used"]:
+            part._heap_space = bytearray(state["heap"])
         part._heap_used = state["heap_used"]
         part._live = state["live"]
         part.version = state["version"]

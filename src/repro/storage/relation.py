@@ -96,6 +96,10 @@ class Relation:
         # Optional hook receiving physical-change events (dicts); the
         # engine installs one to produce write-ahead log records.
         self.change_listener: Optional[Callable[[Dict[str, Any]], None]] = None
+        # Optional hook called when the set of index objects changes
+        # (index DDL, rebuild after a reload); the catalog installs its
+        # schema-epoch bump.
+        self.on_schema_change: Optional[Callable[[], None]] = None
 
     def _emit(self, event: Dict[str, Any]) -> None:
         if self.change_listener is not None:
@@ -110,6 +114,13 @@ class Relation:
         """
         self.version = _next_version()
         return self.version
+
+    def _indexes_changed(self) -> None:
+        """The index objects were replaced, added to or removed from:
+        cached plans are stale, and so is whatever holds an index."""
+        self.bump_version()
+        if self.on_schema_change is not None:
+            self.on_schema_change()
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -184,14 +195,43 @@ class Relation:
         This is the paper's "a single tuple pointer provides the index
         with access to both the attribute value of a tuple and the tuple
         itself".  Each extraction counts one pointer traversal.
+
+        The returned function carries an ``uncounted`` attribute: the
+        same extraction without that one charge, for an index that
+        accumulates its counts in locals and charges them once per
+        operation (see :meth:`repro.indexes.base.Index.uncounted_key`).
+
+        The common case — a live tuple where the pointer says, holding
+        an inline value — is read straight out of the partition's slot
+        array.  Everything else takes :meth:`_locate` and
+        ``Partition.read_field``, which count the forwarding hops and
+        raise the storage errors: a missing partition or slot
+        (``KeyError`` / ``IndexError``), a forwarding address or a
+        deleted slot (neither can be subscripted: ``TypeError``), a
+        value in the heap.  Slots are never negative: tuple pointers are
+        only minted by :meth:`insert`.
         """
         position = self.physical_schema.position(field_name)
+        in_heap = self.physical_schema.fields[position].type is FieldType.STR
+        partitions = self._partitions  # cleared and refilled, never rebound
+        locate = self._locate
+
+        def read(ref: TupleRef) -> Any:
+            try:
+                value = partitions[ref.partition_id]._slots[ref.slot][position]
+            except (KeyError, IndexError, TypeError):
+                pass
+            else:
+                if not in_heap or value is None:
+                    return value
+            part, slot = locate(ref)
+            return part.read_field(slot, position)
 
         def extract(ref: TupleRef) -> Any:
             count_traverse()
-            part, slot = self._locate(ref)
-            return part.read_field(slot, position)
+            return read(ref)
 
+        extract.uncounted = read
         return extract
 
     def multi_key_extractor(
@@ -275,7 +315,7 @@ class Relation:
             for ref in self._all_refs():
                 index.insert(ref)
         self._indexes[index_name] = index
-        self.bump_version()  # new access path: cached plans are stale
+        self._indexes_changed()  # new access path
         return index
 
     def index(self, index_name: str) -> Index:
@@ -298,7 +338,7 @@ class Relation:
                 "access is through an index (paper Section 2.1)"
             )
         del self._indexes[index_name]
-        self.bump_version()  # cached plans may rely on the dropped path
+        self._indexes_changed()  # cached plans may rely on the dropped path
 
     def index_on(self, field_name: str, ordered: bool = None) -> Optional[Index]:
         """Find an index keyed on ``field_name``, or None.
@@ -545,7 +585,7 @@ class Relation:
         Main-memory indexes are *not* persisted — like the paper's design,
         they are reconstructed from the reloaded partitions.
         """
-        self.bump_version()
+        self._indexes_changed()
         rebuilt: Dict[str, Index] = {}
         for name, old in self._indexes.items():
             options = {}

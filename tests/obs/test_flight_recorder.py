@@ -79,11 +79,12 @@ class TestFlightRecorder:
         recorder = FlightRecorder()
         counters = OpCounters(comparisons=10)
         recorder.record("SELECT 1", 0.002, counters)
-        recorder.record("SELECT  1", 0.004, counters)  # same fingerprint
-        recorder.record("SELECT 2", 0.001, counters)
+        recorder.record("SELECT  2", 0.004, counters)  # same shape
+        recorder.record("SELECT x", 0.001, counters)
         profiles = recorder.profiles()
         assert len(profiles) == 2
         hottest = profiles[0]
+        assert hottest.sql == "SELECT ?i"
         assert hottest.calls == 2
         assert hottest.total_seconds == pytest.approx(0.006)
         assert hottest.total_ops == 20
