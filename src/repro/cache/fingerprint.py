@@ -43,10 +43,12 @@ class FingerprintError(Exception):
 
 def _value_fingerprint(value: Any) -> Any:
     """Canonical, hashable form of a literal embedded in a plan."""
+    # A pointer is an ``int`` subclass: tested first, so the pointer to
+    # slot 5 of partition 0 never shares a cache entry with the INT 5.
+    if isinstance(value, TupleRef):
+        return ("ref", value >> 32, value & 0xFFFFFFFF)
     if value is None or isinstance(value, (int, float, str, bool)):
         return value
-    if isinstance(value, TupleRef):
-        return ("ref", value.partition_id, value.slot)
     if isinstance(value, tuple):
         return tuple(_value_fingerprint(v) for v in value)
     raise FingerprintError(f"uncacheable literal {value!r}")

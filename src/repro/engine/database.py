@@ -855,7 +855,7 @@ class MainMemoryDatabase:
             relation.delete(ref)
             return
         canonical = relation.resolve(ref)
-        txn.lock_exclusive(relation_name, canonical.partition_id)
+        txn.lock_exclusive(relation_name, canonical >> 32)
 
         def apply_delete() -> Any:
             old_row = relation.fetch(canonical)
@@ -899,7 +899,7 @@ class MainMemoryDatabase:
             relation.update(ref, field_name, physical_value)
             return
         canonical = relation.resolve(ref)
-        txn.lock_exclusive(relation_name, canonical.partition_id)
+        txn.lock_exclusive(relation_name, canonical >> 32)
 
         def apply_update() -> Any:
             old_value = relation.read_field(canonical, field_name)
@@ -928,7 +928,7 @@ class MainMemoryDatabase:
         relation = self.catalog.relation(relation_name)
         if txn is not None:
             canonical = relation.resolve(ref)
-            txn.lock_shared(relation_name, canonical.partition_id)
+            txn.lock_shared(relation_name, canonical >> 32)
         row = relation.fetch(ref)
         result: Dict[str, Any] = {}
         for field, value in zip(relation.schema.fields, row):

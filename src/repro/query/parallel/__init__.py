@@ -5,12 +5,12 @@ and fans them out to a fork-based process pool (with a deterministic
 in-process fallback), merging per-worker Section 3.1 counter scopes so
 that totals are identical regardless of worker count:
 
-* :mod:`~repro.query.parallel.transport` — wire encoding (int-pair
-  tuple pointers, descriptor specs, plain-predicate checks, morsel
-  bounds);
-* :mod:`~repro.query.parallel.shm` — the shared-memory transport:
-  packed pointer segments, the :class:`~repro.query.parallel.shm.
-  ShmArena` lifecycle registry, and the worker-side segment cache
+* :mod:`~repro.query.parallel.transport` — wire encoding (packed
+  int64 pointer morsels, descriptor specs, plain-predicate checks,
+  morsel bounds);
+* :mod:`~repro.query.parallel.shm` — the shared-memory carrier for
+  those same packed morsels: the :class:`~repro.query.parallel.shm.
+  ShmArena` lifecycle registry and the worker-side segment cache
   behind ``configure_execution(transport="shm")``;
 * :mod:`~repro.query.parallel.tasks` — worker-side task functions over
   the forked catalog snapshot;

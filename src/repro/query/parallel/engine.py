@@ -47,13 +47,17 @@ from repro.query.parallel import shm
 from repro.query.parallel.scheduler import MorselScheduler
 from repro.query.parallel.tasks import merge_packed
 from repro.query.parallel.transport import (
+    Packed,
     decode_refs,
     decode_rows,
     describable,
     describe,
+    encode_refs,
     encode_rows,
     morsel_bounds,
+    packed_len,
     plain_predicate,
+    slice_packed,
 )
 from repro.query.plan import (
     FilterNode,
@@ -175,9 +179,9 @@ class ParallelBatchExecutor(BatchExecutor):
         for index, item in enumerate(results):
             payload, packed = item[0], item[1]
             if shm.is_rows(payload):
-                # A worker packed this result into a transferred
-                # segment; materialize it (and reclaim the segment —
-                # the coordinator owns it from the transfer on).
+                # A worker moved this packed result into a transferred
+                # segment; copy it out (and reclaim the segment — the
+                # coordinator owns it from the transfer on).
                 payload = shm.read_rows(payload, unlink=True)
             telemetry = item[2] if len(item) > 2 else None
             with obs_runtime.span(
@@ -221,35 +225,33 @@ class ParallelBatchExecutor(BatchExecutor):
             morsel_span.children.append(Span.from_dict(span_dict))
 
     def _dispatch_morsels(
-        self, rows: List[Any]
+        self, packed: Packed
     ) -> Tuple[List[Any], Optional[str]]:
         """Per-morsel dispatch payload elements, plus a segment to reap.
 
-        Pickle transport (or an input under the shm threshold): plain
-        encoded-row slices, exactly the classic wire.  Shm transport
-        above the threshold: the whole operator input is packed *once*
-        into one coordinator-owned segment, and each morsel carries only
-        a tiny slice descriptor naming its ``[start, stop)`` window.
-        The caller must unlink the returned segment name after the run
-        (see :meth:`_run_op`).
+        ``packed`` is one operator's whole input, packed once.  Pickle
+        transport (or an input under the shm threshold): each morsel
+        carries its own byte slice of it.  Shm transport above the
+        threshold: the same bytes go into one coordinator-owned
+        segment, and each morsel carries only a tiny slice descriptor
+        naming its ``[start, stop)`` window.  The caller must unlink
+        the returned segment name after the run (see :meth:`_run_op`).
         """
-        encoded = encode_rows(rows)
-        bounds = morsel_bounds(len(encoded), self.morsel_size)
-        if (
-            self.transport == "shm"
-            and len(encoded) >= self.shm_threshold_rows
-        ):
-            row_width = len(encoded[0])
-            descriptor = shm.write_rows(encoded, row_width, "rows")
-            name = descriptor[1]
+        total = packed_len(packed)
+        bounds = morsel_bounds(total, self.morsel_size)
+        if self.transport == "shm" and total >= self.shm_threshold_rows:
+            name = shm.write_rows(packed)[1]
             return (
                 [
-                    shm.shm_slice(name, row_width, start, stop)
+                    shm.shm_slice(name, packed[0], start, stop)
                     for start, stop in bounds
                 ],
                 name,
             )
-        return [encoded[start:stop] for start, stop in bounds], None
+        return (
+            [slice_packed(packed, start, stop) for start, stop in bounds],
+            None,
+        )
 
     def _run_op(
         self,
@@ -292,20 +294,19 @@ class ParallelBatchExecutor(BatchExecutor):
         if relation.cardinality <= self.morsel_size:
             return None
         # The one canonical (organically counted) index walk happens
-        # here in the coordinator, exactly as on the scalar path;
-        # workers re-walk their forked snapshot under a muted scope.
+        # here in the coordinator, exactly as on the scalar path; each
+        # worker gets its morsel of that walk packed.
         refs = list(relation.any_index().scan())
         token = self.scheduler.token
+        morsels, segment = self._dispatch_morsels(encode_refs(refs))
         payloads = [
-            (token, relation.name, node.predicate, start, stop)
-            for start, stop in morsel_bounds(len(refs), self.morsel_size)
+            (token, relation.name, node.predicate, morsel)
+            for morsel in morsels
         ]
-        # Scan dispatch ships no rows (only bounds); results may still
-        # return through shm, which _run_op's wrapper signals.
-        results = self._run_op("scan_filter", payloads)
+        results = self._run_op("scan_filter", payloads, (segment,))
         kept: list = []
-        for encoded in self._merge_morsels("scan", results):
-            kept.extend(decode_refs(encoded))
+        for packed in self._merge_morsels("scan", results):
+            kept.extend(decode_refs(packed))
         return kept
 
     def _maybe_parallel_filter(
@@ -320,14 +321,14 @@ class ParallelBatchExecutor(BatchExecutor):
             return None
         token = self.scheduler.token
         spec = describe(descriptor)
-        morsels, segment = self._dispatch_morsels(rows)
+        morsels, segment = self._dispatch_morsels(encode_rows(rows))
         payloads = [
             (token, spec, predicate, morsel) for morsel in morsels
         ]
         results = self._run_op("filter_rows", payloads, (segment,))
         kept: list = []
-        for encoded in self._merge_morsels("filter", results):
-            kept.extend(decode_rows(encoded))
+        for packed in self._merge_morsels("filter", results):
+            kept.extend(decode_rows(packed))
         return kept
 
     # ------------------------------------------------------------------ #
@@ -365,7 +366,12 @@ class ParallelBatchExecutor(BatchExecutor):
     def _build_groups(
         self, token: int, descriptor: ResultDescriptor, column: str, inner: list
     ) -> dict:
-        """Build-side groups ``{key: [encoded rows]}`` in input order."""
+        """Build-side groups ``{key: [pointer rows]}`` in input order.
+
+        The rows in the groups are tuples of plain ints either way —
+        the groups are pickled into the broadcast blob, which must
+        never walk ``TupleRef.__reduce__``.
+        """
         from repro.query.parallel import tasks
 
         if len(inner) <= self.morsel_size:
@@ -374,21 +380,22 @@ class ParallelBatchExecutor(BatchExecutor):
             key_of, cost = self._batch_key(descriptor, column)
             keys = [key_of(row) for row in inner]
             count_traverse(len(inner) * cost)
-            return tasks.build_groups(encode_rows(inner), keys)
+            plain = decode_rows(encode_rows(inner))
+            return tasks.build_groups(plain, keys)
         spec = describe(descriptor)
-        morsels, segment = self._dispatch_morsels(inner)
+        morsels, segment = self._dispatch_morsels(encode_rows(inner))
         payloads = [
             (token, spec, column, morsel) for morsel in morsels
         ]
         results = self._run_op("hash_build", payloads, (segment,))
         merged: dict = {}
         for groups in self._merge_morsels("hash_join.build", results):
-            for key, encoded_rows in groups.items():
+            for key, rows in groups.items():
                 bucket = merged.get(key)
                 if bucket is None:
-                    merged[key] = encoded_rows
+                    merged[key] = rows
                 else:
-                    bucket.extend(encoded_rows)
+                    bucket.extend(rows)
         return merged
 
     def _probe_groups(
@@ -403,18 +410,15 @@ class ParallelBatchExecutor(BatchExecutor):
         from repro.query.parallel import tasks
 
         if len(outer) <= self.morsel_size:
-            # Small probe side: probe in-process against decoded groups.
+            # Small probe side: probe the groups in-process.
             key_of, cost = self._batch_key(descriptor, column)
             keys = [key_of(row) for row in outer]
             count_traverse(len(outer) * cost)
-            encoded_out = tasks.probe_groups(
-                groups, encode_rows(outer), keys
-            )
-            return decode_rows(encoded_out)
+            return tasks.probe_groups(groups, outer, keys)
         blob = pickle.dumps(groups, protocol=pickle.HIGHEST_PROTOCOL)
         table_id = self.scheduler.next_blob_id()
         spec = describe(descriptor)
-        morsels, segment = self._dispatch_morsels(outer)
+        morsels, segment = self._dispatch_morsels(encode_rows(outer))
         blob_segment: Optional[str] = None
         if (
             self.transport == "shm"
@@ -433,8 +437,8 @@ class ParallelBatchExecutor(BatchExecutor):
             "hash_probe", payloads, (segment, blob_segment)
         )
         out: list = []
-        for encoded in self._merge_morsels("hash_join.probe", results):
-            out.extend(decode_rows(encoded))
+        for packed in self._merge_morsels("hash_join.probe", results):
+            out.extend(decode_rows(packed))
         return out
 
     # ------------------------------------------------------------------ #
@@ -458,7 +462,7 @@ class ParallelBatchExecutor(BatchExecutor):
         token = self.scheduler.token
         spec = describe(descriptor)
         columns = tuple(node.columns)
-        morsels, segment = self._dispatch_morsels(rows)
+        morsels, segment = self._dispatch_morsels(encode_rows(rows))
         payloads = [
             (token, spec, columns, morsel) for morsel in morsels
         ]
@@ -468,16 +472,16 @@ class ParallelBatchExecutor(BatchExecutor):
         out: list = []
         append = out.append
         for survivors in self._merge_morsels("dedup", results):
-            for key, encoded_row in survivors:
+            for key, row in survivors:
                 if key not in seen:
                     add(key)
-                    append(encoded_row)
+                    append(row)
         # The scalar kernel's whole-operator charges: one set allocation
         # and one move per surviving row (the cross-morsel membership
         # re-test above is merge bookkeeping, not a modelled operation).
         count_alloc(1)
         count_move(len(out))
-        return decode_rows(out)
+        return out
 
     # ------------------------------------------------------------------ #
     # pipelined-mode overrides

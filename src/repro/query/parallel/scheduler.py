@@ -63,6 +63,32 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+def _wire_nbytes(message: Any) -> int:
+    """Pipe bytes of one request or result, without re-pickling rows.
+
+    Packed buffers (``bytes`` anywhere in the nested tuples of the
+    message: morsels, the broadcast blob) count their ``len()``; what
+    is left once they are taken out — tokens, specs, predicates,
+    descriptors, counts, and the keyed results of ``hash_build`` /
+    ``hash_dedup`` — is the envelope, pickled as ``pool.submit`` would.
+    """
+    buffers = 0
+
+    def strip(value: Any) -> Any:
+        nonlocal buffers
+        if type(value) is bytes:
+            buffers += len(value)
+            return b""
+        if type(value) is tuple:
+            return tuple(strip(item) for item in value)
+        return value
+
+    envelope = strip(message)
+    return buffers + len(
+        pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+    )
+
+
 def _metric(name: str, amount: int = 1, **labels) -> None:
     """Bump a scheduler metric when observability is active."""
     if amount:
@@ -100,8 +126,8 @@ class MorselScheduler:
         #: but surfaced through ``scheduler_stats()``.
         self.transport = transport
         #: Measure per-morsel pipe bytes even without observability
-        #: (benchmarks flip this; measuring means pickling every payload
-        #: a second time, so it must never be the default).
+        #: (benchmarks flip this; it pickles every envelope a second
+        #: time, so it is not the default).
         self.measure_bytes = False
         #: Morsel granularity for dispatchers without their own setting
         #: (e.g. the parallel index build reaching through the runtime
@@ -146,9 +172,8 @@ class MorselScheduler:
             "quarantined_morsels": 0,
             "verified_retries": 0,
             # Pipe traffic, measured only when observability is active
-            # or ``measure_bytes`` is set: what actually crossed the
-            # pool pipe, pickled — descriptors in shm mode, full
-            # payloads in pickle mode.
+            # or ``measure_bytes`` is set: what crossed the pool pipe —
+            # descriptors in shm mode, packed morsels in pickle mode.
             "dispatch_bytes": 0,
             "result_bytes": 0,
         }
@@ -382,23 +407,19 @@ class MorselScheduler:
     def _measure_dispatch(
         self, kind: str, payloads: List[tuple]
     ) -> None:
-        """Tally what dispatch actually sends through the pool pipe.
+        """Tally what dispatch sends through the pool pipe.
 
-        Re-pickles each request exactly as ``pool.submit`` would, so
-        the number is the true pipe cost: in shm mode, descriptors are
-        tiny and the packed rows never appear here — which is the
-        entire point of the transport.  Only runs when observability is
-        active or ``measure_bytes`` is set (re-pickling is not free).
+        Per request: the ``len()`` of every packed buffer it carries
+        plus its pickled envelope (see :func:`_wire_nbytes`) — the
+        pipe cost without pickling the rows a second time.  In shm mode
+        descriptors are all envelope and the packed rows never appear
+        here — which is the entire point of that carrier.
         """
         last_run = self.last_run or {}
         per_morsel = last_run.setdefault("payload_bytes", {})
         labels = last_run.setdefault("transport", {})
         for index, payload in enumerate(payloads):
-            nbytes = len(
-                pickle.dumps(
-                    (kind, payload), protocol=pickle.HIGHEST_PROTOCOL
-                )
-            )
+            nbytes = _wire_nbytes((kind, payload))
             label = self._payload_transport(payload)
             per_morsel[index] = nbytes
             labels[index] = label
@@ -413,15 +434,11 @@ class MorselScheduler:
     def _measure_results(
         self, results: List[Tuple[Any, tuple]]
     ) -> None:
-        """Tally the return pipe and refresh the segment gauge."""
+        """Tally the return pipe the same way."""
         last_run = self.last_run or {}
         per_morsel = last_run.setdefault("payload_bytes", {})
         for index, item in enumerate(results):
-            nbytes = len(
-                pickle.dumps(
-                    tuple(item[:2]), protocol=pickle.HIGHEST_PROTOCOL
-                )
-            )
+            nbytes = _wire_nbytes(tuple(item[:2]))
             label = "shm" if shm.is_rows(item[0]) else "pickle"
             per_morsel[index] = per_morsel.get(index, 0) + nbytes
             self.stats["result_bytes"] += nbytes

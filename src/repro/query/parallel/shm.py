@@ -2,36 +2,29 @@
 
 The paper's thesis is that in main memory the *processing* cost —
 copying and moving tuples — dominates, which is why the engine passes
-tuple pointers instead of materialized rows.  The morsel pool betrayed
-that thesis at the process boundary: every dispatch and every result
-pickled its ``(partition_id, slot)`` int pairs through the pool pipe,
-one object header and one memo lookup per integer.  This module
-extends "pass pointers, not data" across forks: pointer rows are packed
-into flat int64 arrays inside named ``multiprocessing.shared_memory``
-segments, and only a tiny descriptor tuple — segment name, row width,
-count — crosses the pipe.
+tuple pointers instead of materialized rows.  This module extends "pass
+pointers, not data" across forks: a packed morsel (``(row_width, int64
+bytes)``, see :mod:`~repro.query.parallel.transport`) is copied into a
+named ``multiprocessing.shared_memory`` segment, and only a tiny
+descriptor tuple — segment name, row width, byte count — crosses the
+pipe.  The module has no row layout of its own: a segment holds
+exactly the bytes the pickle carrier would have shipped.
 
 Three kinds of traffic ride on segments (see DESIGN.md section 3.13):
 
-* **dispatch** — the coordinator packs one operator's entire encoded
-  input once; each morsel payload carries an :func:`shm_slice`
-  descriptor naming its ``[start, stop)`` window into that segment;
-* **results** — a worker whose output crosses the row threshold packs
-  it into a fresh per-morsel segment and ships back an
-  :func:`shm_rows` descriptor, transferring ownership (and the duty to
-  unlink) to the coordinator;
+* **dispatch** — the coordinator packs one operator's entire input
+  once; each morsel payload carries an :func:`shm_slice` descriptor
+  naming its ``[start, stop)`` row window into that segment;
+* **results** — a worker whose packed output crosses the row threshold
+  writes it into a fresh per-morsel segment and ships back a rows
+  descriptor, transferring ownership (and the duty to unlink) to the
+  coordinator;
 * **broadcast** — the hash-probe build table is pickled once into a
   single segment that every worker attaches by name, instead of the
   blob riding inside every probe payload.
 
-**Packed layout.**  A segment is a 16-byte header — two little-endian
-int64s, ``row_width`` then ``count`` — followed by
-``count * row_width * 2`` native int64s: each row is ``row_width``
-``(partition_id, slot)`` pairs laid out flat.  ``row_width == 1`` with
-shape ``"refs"`` stores a bare pointer list (the scan-filter result
-shape).  Packing and unpacking are pure transport: they charge no
-Section 3.1 counters, and int64 round-trips every encoded value
-bit-exactly, so rows decode identical to the pickle wire.
+Writing and reading are pure transport: they charge no Section 3.1
+counters, and the bytes read are the bytes written.
 
 **Lifecycle.**  Every segment is created through the process-local
 :class:`ShmArena`, which records ``(name, creating pid)`` and unlinks
@@ -56,11 +49,9 @@ from __future__ import annotations
 import atexit
 import itertools
 import os
-import struct
-from array import array
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 try:  # pragma: no cover - import success is the normal case
     from multiprocessing import resource_tracker, shared_memory
@@ -69,115 +60,25 @@ except ImportError:  # pragma: no cover - platform-dependent
     resource_tracker = None  # type: ignore[assignment]
 
 from repro.obs import runtime as obs_runtime
+from repro.query.parallel.transport import slice_packed
 
 #: Descriptor tags.  A descriptor is a plain tuple whose first element
 #: is one of these markers — cheap to pickle, trivially distinguishable
-#: from the list payloads the pickle transport ships.
+#: from the packed morsels the pickle transport ships.
 SLICE_TAG = "shm:slice"  # (tag, segment, row_width, start, stop)
-ROWS_TAG = "shm:rows"  # (tag, segment, shape, row_width, count)
+ROWS_TAG = "shm:rows"  # (tag, segment, row_width, nbytes)
 BLOB_TAG = "shm:blob"  # (tag, segment, nbytes)
 REQUEST_TAG = "shm:req"  # (tag, result_threshold, inner_payload)
-
-#: Result shapes a rows descriptor can carry: ``"refs"`` is a flat list
-#: of ``(partition_id, slot)`` pairs, ``"rows"`` a list of tuples of
-#: such pairs.
-SHAPES = ("refs", "rows")
 
 #: Minimum broadcast-blob size worth a segment: below one page the
 #: fixed shm_open/mmap round-trip costs more than pickling the blob
 #: into each payload would.
 MIN_BLOB_BYTES = 4096
 
-#: Header: row_width then count, two little-endian signed 64-bit ints.
-_HEADER = struct.Struct("<qq")
-_ITEM = 8  # bytes per int64
-_PAIR = 2 * _ITEM  # bytes per (partition_id, slot) pair
-
 
 def available() -> bool:
     """Can this platform back the shm transport?"""
     return shared_memory is not None
-
-
-# --------------------------------------------------------------------- #
-# packing / unpacking
-# --------------------------------------------------------------------- #
-
-
-def _flatten_rows(rows: Sequence[Tuple[Tuple[int, int], ...]]) -> array:
-    flat = array("q")
-    extend = flat.extend
-    for row in rows:
-        for pair in row:
-            extend(pair)
-    return flat
-
-
-def _flatten_refs(pairs: Sequence[Tuple[int, int]]) -> array:
-    flat = array("q")
-    extend = flat.extend
-    for pair in pairs:
-        extend(pair)
-    return flat
-
-
-def packed_nbytes(row_width: int, count: int) -> int:
-    """Total segment size for ``count`` rows of ``row_width`` pairs."""
-    return _HEADER.size + count * row_width * _PAIR
-
-
-def pack_into(
-    buf, rows: Sequence[Any], row_width: int, shape: str = "rows"
-) -> int:
-    """Pack ``rows`` (rows or refs per ``shape``) into ``buf``.
-
-    Writes the ``(row_width, count)`` header followed by the flat int64
-    payload; returns the number of bytes written.
-    """
-    if shape not in SHAPES:
-        raise ValueError(f"unknown packed shape {shape!r}")
-    flat = (
-        _flatten_refs(rows) if shape == "refs" else _flatten_rows(rows)
-    )
-    data = flat.tobytes()
-    end = _HEADER.size + len(data)
-    _HEADER.pack_into(buf, 0, row_width, len(rows))
-    buf[_HEADER.size:end] = data
-    return end
-
-
-def unpack_header(buf) -> Tuple[int, int]:
-    """``(row_width, count)`` from a packed segment's header."""
-    return _HEADER.unpack_from(buf, 0)
-
-
-def unpack_refs(buf, count: int) -> List[Tuple[int, int]]:
-    """Decode a ``"refs"`` payload: ``count`` ``(pid, slot)`` pairs."""
-    flat = array("q")
-    flat.frombytes(bytes(buf[_HEADER.size:_HEADER.size + count * _PAIR]))
-    it = iter(flat)
-    return [(part, slot) for part, slot in zip(it, it)]
-
-
-def unpack_rows(
-    buf, row_width: int, start: int, stop: int
-) -> List[Tuple[Tuple[int, int], ...]]:
-    """Decode rows ``[start, stop)`` of a ``"rows"`` payload.
-
-    Returns exactly the structure :func:`~repro.query.parallel.
-    transport.encode_rows` produces — tuples of ``(pid, slot)`` tuples —
-    so downstream task kernels cannot tell the transports apart.
-    """
-    lo = _HEADER.size + start * row_width * _PAIR
-    hi = _HEADER.size + stop * row_width * _PAIR
-    flat = array("q")
-    flat.frombytes(bytes(buf[lo:hi]))
-    it = iter(flat)
-    pairs = [(part, slot) for part, slot in zip(it, it)]
-    return [
-        tuple(pairs[i:i + row_width])
-        for i in range(0, len(pairs), row_width)
-    ]
 
 
 # --------------------------------------------------------------------- #
@@ -365,47 +266,42 @@ def _drain_at_exit() -> None:  # pragma: no cover - interpreter shutdown
 # --------------------------------------------------------------------- #
 
 
+def _write(data: bytes, tracked: bool = True):
+    """A fresh segment holding ``data``; reaped if the copy fails."""
+    seg = _ARENA.create(len(data), tracked=tracked)
+    try:
+        seg.buf[:len(data)] = data
+    except BaseException:
+        name = seg.name
+        seg.close()
+        _ARENA.unlink(name)
+        raise
+    return seg
+
+
 def write_rows(
-    rows: Sequence[Any],
-    row_width: int,
-    shape: str = "rows",
-    transfer: bool = False,
+    packed: Tuple[int, bytes], transfer: bool = False
 ) -> Tuple[Any, ...]:
-    """Pack ``rows`` into a fresh segment; returns a rows descriptor.
+    """Copy a packed morsel into a fresh segment; returns a descriptor.
 
     ``transfer=True`` (worker results) closes the local mapping and
     untracks the segment so the receiving coordinator owns the unlink.
     """
-    shm = _ARENA.create(
-        packed_nbytes(row_width, len(rows)), tracked=not transfer
-    )
-    try:
-        pack_into(shm.buf, rows, row_width, shape)
-    except BaseException:
-        name = shm.name
-        shm.close()
-        _ARENA.unlink(name)
-        raise
+    row_width, data = packed
+    seg = _write(data, tracked=not transfer)
     if transfer:
-        name = _ARENA.transfer(shm)
+        name = _ARENA.transfer(seg)
     else:
-        name = shm.name
-        shm.close()
-    return (ROWS_TAG, name, shape, row_width, len(rows))
+        name = seg.name
+        seg.close()
+    return (ROWS_TAG, name, row_width, len(data))
 
 
 def write_blob(blob: bytes) -> Tuple[Any, ...]:
     """Write an opaque byte blob into a segment (broadcast path)."""
-    shm = _ARENA.create(len(blob))
-    try:
-        shm.buf[:len(blob)] = blob
-    except BaseException:
-        name = shm.name
-        shm.close()
-        _ARENA.unlink(name)
-        raise
-    name = shm.name
-    shm.close()
+    seg = _write(blob)
+    name = seg.name
+    seg.close()
     return (BLOB_TAG, name, len(blob))
 
 
@@ -424,7 +320,7 @@ def is_slice(value: Any) -> bool:
 
 def is_rows(value: Any) -> bool:
     return (
-        type(value) is tuple and len(value) == 5 and value[0] == ROWS_TAG
+        type(value) is tuple and len(value) == 4 and value[0] == ROWS_TAG
     )
 
 
@@ -432,19 +328,6 @@ def is_blob(value: Any) -> bool:
     return (
         type(value) is tuple and len(value) == 3 and value[0] == BLOB_TAG
     )
-
-
-def descriptor_nbytes(value: Any) -> int:
-    """The packed payload bytes a descriptor stands for."""
-    if is_slice(value):
-        __, __, row_width, start, stop = value
-        return (stop - start) * row_width * _PAIR
-    if is_rows(value):
-        __, __, __, row_width, count = value
-        return max(1, row_width) * count * _PAIR
-    if is_blob(value):
-        return value[2]
-    return 0
 
 
 # --------------------------------------------------------------------- #
@@ -466,31 +349,26 @@ def attach(name: str):
         return shared_memory.SharedMemory(name=name)
 
 
-def read_slice(descriptor: Tuple[Any, ...], segment) -> List[Any]:
-    """Decode the rows a slice descriptor names from ``segment``.
-
-    Dispatch slices always carry the ``"rows"`` shape — every
-    parallelised operator input is a pointer-row list (the scan path
-    ships no rows at all, only ``[start, stop)`` bounds).
-    """
+def read_slice(descriptor: Tuple[Any, ...], segment) -> Tuple[int, bytes]:
+    """The packed morsel a slice descriptor names in ``segment``."""
     __, __, row_width, start, stop = descriptor
-    return unpack_rows(segment.buf, row_width, start, stop)
+    width, window = slice_packed((row_width, segment.buf), start, stop)
+    return (width, bytes(window))
 
 
-def read_rows(descriptor: Tuple[Any, ...], unlink: bool = True) -> List[Any]:
-    """Decode (and by default reclaim) a whole rows segment."""
-    __, name, shape, row_width, count = descriptor
+def read_rows(
+    descriptor: Tuple[Any, ...], unlink: bool = True
+) -> Tuple[int, bytes]:
+    """The packed morsel in a rows segment (by default reclaiming it)."""
+    __, name, row_width, nbytes = descriptor
     seg = attach(name)
     try:
-        if shape == "refs":
-            out: List[Any] = unpack_refs(seg.buf, count)
-        else:
-            out = unpack_rows(seg.buf, row_width, 0, count)
+        packed = (row_width, bytes(seg.buf[:nbytes]))
     finally:
         seg.close()
     if unlink:
         _ARENA.unlink(name)
-    return out
+    return packed
 
 
 def read_blob(descriptor: Tuple[Any, ...]) -> bytes:

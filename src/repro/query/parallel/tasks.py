@@ -23,7 +23,7 @@ import os
 import pickle
 import time
 from collections import OrderedDict
-from itertools import islice
+from itertools import compress, islice
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.fault import runtime as fault_runtime
@@ -38,9 +38,11 @@ from repro.query.executor import filter_column_resolver
 from repro.query.parallel import shm
 from repro.query.parallel.transport import (
     TRACE_SPANS,
+    decode_refs,
     decode_rows,
     encode_refs,
     encode_rows,
+    packed_len,
     rebuild,
 )
 from repro.query.plan import REF_COLUMN
@@ -127,19 +129,8 @@ def merge_packed(counters: OpCounters, packed: Tuple[int, ...]) -> None:
         counters.bump(name, value)
 
 
-def _muted_scan_slice(relation, start: int, stop: int) -> list:
-    """The scan-order refs in ``[start, stop)``, charging nothing.
-
-    The parent performs (and organically charges) the single canonical
-    index walk; worker-side re-walks of the forked snapshot are physical
-    bookkeeping only, so they run in a discarded counter scope.
-    """
-    with counters_scope():
-        return list(islice(relation.any_index().scan(), start, stop))
-
-
 def _batch_key(descriptor, column: str):
-    """(extractor over decoded rows, traversal charges per row)."""
+    """(extractor over pointer rows, traversal charges per row)."""
     if column == REF_COLUMN:
         return (lambda row: row[0]), 0
     return raw_row_extractor(descriptor, column), 1
@@ -165,7 +156,7 @@ def build_groups(items: list, keys: list) -> dict:
 
 
 def probe_groups(groups: dict, rows: list, keys: list) -> list:
-    """Probe encoded rows against merged build groups.
+    """Probe pointer rows against merged build groups.
 
     Emits ``outer + inner`` concatenations with equal-key matches
     newest-first (``reversed``), matching the scalar kernel's LIFO
@@ -207,53 +198,55 @@ def local_dedup(rows: list, keys: list) -> list:
 # --------------------------------------------------------------------- #
 
 
-def _scan_filter(payload) -> list:
-    """Filter one scan-order slice; returns encoded kept refs."""
-    token, relation_name, predicate, start, stop = payload
+def _scan_filter(payload) -> tuple:
+    """Filter one morsel of scan-order refs; returns the kept refs packed.
+
+    The refs are the coordinator's own (organically charged) index
+    walk, shipped packed — the worker never touches the index.
+    """
+    token, relation_name, predicate, packed = payload
     relation = _CATALOGS[token].relation(relation_name)
-    chunk = _muted_scan_slice(relation, start, stop)
+    chunk = decode_refs(packed)
     access = ScanFieldAccess(relation)
     mask = compile_predicate(predicate, access)
     flags = mask(chunk)
-    kept = [ref for ref, keep in zip(chunk, flags) if keep]
     access.flush()
-    return encode_refs(kept)
+    return encode_refs(list(compress(chunk, flags)))
 
 
-def _filter_rows(payload) -> list:
-    """Filter one morsel of pointer rows; returns encoded kept rows."""
-    token, spec, predicate, encoded = payload
+def _filter_rows(payload) -> tuple:
+    """Filter one morsel of pointer rows; returns the kept rows packed."""
+    token, spec, predicate, packed = payload
     descriptor = rebuild(_CATALOGS[token], spec)
-    rows = decode_rows(encoded)
+    rows = decode_rows(packed)
     access = RowFieldAccess(descriptor, filter_column_resolver(descriptor))
     mask = compile_predicate(predicate, access)
     flags = mask(rows)
-    kept = [enc for enc, keep in zip(encoded, flags) if keep]
     access.flush()
-    return kept
+    return encode_rows(list(compress(rows, flags)))
 
 
 def _hash_build(payload) -> dict:
-    """Group one build-side morsel by join key; values stay encoded."""
-    token, spec, column, encoded = payload
+    """Group one build-side morsel's pointer rows by join key."""
+    token, spec, column, packed = payload
     descriptor = rebuild(_CATALOGS[token], spec)
-    rows = decode_rows(encoded)
+    rows = decode_rows(packed)
     key_of, cost = _batch_key(descriptor, column)
     keys = [key_of(row) for row in rows]
     count_traverse(len(rows) * cost)
-    return build_groups(encoded, keys)
+    return build_groups(rows, keys)
 
 
-def _hash_probe(payload) -> list:
+def _hash_probe(payload) -> tuple:
     """Probe one outer morsel against the broadcast build table.
 
     ``blob`` is either the pickled build table itself (pickle
     transport) or an ``shm:blob`` descriptor naming the segment it was
     broadcast through; either way the *decoded* table is cached by
     ``(token, table_id)``, so a cache hit never touches the blob — or
-    the segment — at all.
+    the segment — at all.  Returns the joined rows packed.
     """
-    token, spec, column, table_id, blob, encoded = payload
+    token, spec, column, table_id, blob, packed = payload
     descriptor = rebuild(_CATALOGS[token], spec)
     cache_key = (token, table_id)
     groups = _TABLE_CACHE.get(cache_key)
@@ -267,18 +260,18 @@ def _hash_probe(payload) -> list:
         _cache_table(cache_key, groups)
     else:
         _TABLE_CACHE.move_to_end(cache_key)
-    rows = decode_rows(encoded)
+    rows = decode_rows(packed)
     key_of, cost = _batch_key(descriptor, column)
     keys = [key_of(row) for row in rows]
     count_traverse(len(rows) * cost)
-    return probe_groups(groups, encoded, keys)
+    return encode_rows(probe_groups(groups, rows, keys))
 
 
 def _hash_dedup(payload) -> list:
-    """Locally deduplicate one morsel; returns (key, encoded row) pairs."""
-    token, spec, columns, encoded = payload
+    """Locally deduplicate one morsel; returns (key, pointer row) pairs."""
+    token, spec, columns, packed = payload
     descriptor = rebuild(_CATALOGS[token], spec)
-    rows = decode_rows(encoded)
+    rows = decode_rows(packed)
     raw = [raw_row_extractor(descriptor, name) for name in columns]
     if len(raw) == 1:
         key_of = raw[0]
@@ -289,7 +282,7 @@ def _hash_dedup(payload) -> list:
 
     keys = [key_of(row) for row in rows]
     count_traverse(len(rows) * len(raw))
-    return local_dedup(encoded, keys)
+    return local_dedup(rows, keys)
 
 
 def _extract_keys(payload) -> list:
@@ -360,15 +353,11 @@ _HANDLERS = {
     "extract_keys": _extract_keys,
 }
 
-#: Result shapes the shm transport can pack per task kind.  Kinds whose
-#: results are not flat pointer rows (``hash_build`` dict groups,
+#: Task kinds whose result is one packed morsel, which the shm carrier
+#: can move into a segment.  The others (``hash_build`` dict groups,
 #: ``hash_dedup`` arbitrary-key pairs, ``extract_keys`` raw values)
 #: always return through the pickle pipe.
-_RESULT_SHAPES = {
-    "scan_filter": "refs",
-    "filter_rows": "rows",
-    "hash_probe": "rows",
-}
+_PACKED_RESULTS = frozenset(("scan_filter", "filter_rows", "hash_probe"))
 
 
 def _resolve_element(value: Any) -> Any:
@@ -392,8 +381,8 @@ def _unwrap_request(payload: tuple) -> Tuple[tuple, Optional[int]]:
 
     Pickle-transport payloads pass through untouched (``None``
     threshold); an ``shm:req`` wrapper yields the inner payload with
-    every slice descriptor replaced by its decoded rows, plus the
-    result-packing threshold the coordinator asked for.
+    every slice descriptor replaced by the packed morsel it names, plus
+    the result threshold the coordinator asked for.
     """
     if (
         type(payload) is tuple
@@ -406,18 +395,20 @@ def _unwrap_request(payload: tuple) -> Tuple[tuple, Optional[int]]:
 
 
 def _pack_result(kind: str, result: Any, threshold: int) -> Any:
-    """Pack a large packable result into a transferred segment.
+    """Move a large packed result into a transferred segment.
 
-    Small results (and kinds without a packable shape) return as-is
-    through the pickle pipe; packed ones return an ``shm:rows``
-    descriptor whose segment the coordinator owns — and unlinks — from
-    here on.  Packing is pure transport: no Section 3.1 charges.
+    Small results (and kinds whose result is not a packed morsel)
+    return as-is through the pickle pipe; moved ones return an
+    ``shm:rows`` descriptor whose segment the coordinator owns — and
+    unlinks — from here on.  Pure transport: no Section 3.1 charges.
     """
-    shape = _RESULT_SHAPES.get(kind)
-    if shape is None or len(result) < threshold or not shm.available():
+    if (
+        kind not in _PACKED_RESULTS
+        or packed_len(result) < threshold
+        or not shm.available()
+    ):
         return result
-    row_width = 1 if shape == "refs" else len(result[0])
-    return shm.write_rows(result, row_width, shape, transfer=True)
+    return shm.write_rows(result, transfer=True)
 
 
 def run_task(request: Tuple[str, tuple]) -> Tuple[Any, Tuple[int, ...]]:

@@ -2,9 +2,15 @@
 
 Workers are forked copies of the parent, so relations travel by *name*
 (resolved against the worker's inherited catalog snapshot) and tuple
-pointers travel as plain ``(partition_id, slot)`` int pairs — about 8x
-cheaper to pickle than the :class:`~repro.storage.tuples.TupleRef`
-dataclass and fully stable across the fork boundary.  Result
+pointers travel as what they are — one machine word each
+(:mod:`repro.storage.tuples`).  A morsel of pointer rows is one
+*packed* value, ``(row_width, int64 bytes)``: the rows flattened into
+an ``array('q')``.  Unpacking yields tuples of plain ``int``\\ s, which
+every extractor, compiled predicate and hash kernel takes unchanged
+(pointer sites split the word with a shift and a mask; nothing on the
+wire ever rebuilds a :class:`~repro.storage.tuples.TupleRef`).  The
+same packed value is what :mod:`~repro.query.parallel.shm` carries in
+a segment — one layout, two carriers (DESIGN.md section 3.16).  Result
 descriptors travel as specs: the source relation names plus the
 ``(source, field, label)`` column triples, rebuilt worker-side against
 the same catalog.
@@ -18,16 +24,23 @@ in-process scalar path.
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.query.predicates import Comparison, Conjunction, Disjunction
 from repro.storage.temporary import ResultColumn, ResultDescriptor
-from repro.storage.tuples import TupleRef
 
-Row = Tuple[TupleRef, ...]
+#: A pointer row: one pointer word per source relation.
+Row = Tuple[int, ...]
+#: A packed morsel: ``(row_width, array('q') bytes)``.
+Packed = Tuple[int, bytes]
 
-#: Join/predicate literal types that are safe and cheap to pickle.
-_PLAIN_VALUES = (int, float, str, bytes, bool, type(None), TupleRef)
+_WORD = 8  # bytes per pointer word on the wire
+
+#: Join/predicate literal types that are safe and cheap to pickle
+#: (a ``TupleRef`` literal is an ``int`` and pickles as itself).
+_PLAIN_VALUES = (int, float, str, bytes, bool, type(None))
 
 # --------------------------------------------------------------------- #
 # trace context
@@ -66,31 +79,47 @@ def trace_request(
     return (kind, payload, (mode, index, dispatched_at))
 
 
-def encode_refs(refs: Sequence[TupleRef]) -> List[Tuple[int, int]]:
-    """Tuple pointers -> ``(partition_id, slot)`` int pairs."""
-    return [(ref.partition_id, ref.slot) for ref in refs]
+def encode_refs(refs: Sequence[int]) -> Packed:
+    """Tuple pointers -> one packed width-1 morsel."""
+    return (1, array("q", refs).tobytes())
 
 
-def decode_refs(pairs: Sequence[Tuple[int, int]]) -> List[TupleRef]:
-    """``(partition_id, slot)`` int pairs -> tuple pointers."""
-    return [TupleRef(part, slot) for part, slot in pairs]
+def decode_refs(packed: Packed) -> List[int]:
+    """A packed width-1 morsel -> its pointer words."""
+    words = array("q")
+    words.frombytes(packed[1])
+    return words.tolist()
 
 
-def encode_rows(rows: Sequence[Row]) -> List[Tuple[Tuple[int, int], ...]]:
-    """Pointer rows -> tuples of ``(partition_id, slot)`` pairs."""
-    return [
-        tuple((ref.partition_id, ref.slot) for ref in row) for row in rows
-    ]
+def encode_rows(rows: Sequence[Row]) -> Packed:
+    """Pointer rows -> one packed morsel (width 0 when empty)."""
+    if not rows:
+        return (0, b"")
+    # ``array`` sizes itself once from a list; fed an iterator it grows
+    # word by word (1.7x slower on 100k rows, same bytes).
+    words = list(chain.from_iterable(rows))
+    return (len(rows[0]), array("q", words).tobytes())
 
 
-def decode_rows(
-    encoded: Sequence[Tuple[Tuple[int, int], ...]]
-) -> List[Row]:
-    """Tuples of ``(partition_id, slot)`` pairs -> pointer rows."""
-    return [
-        tuple(TupleRef(part, slot) for part, slot in row)
-        for row in encoded
-    ]
+def decode_rows(packed: Packed) -> List[Row]:
+    """A packed morsel -> pointer rows (tuples of plain ints)."""
+    width, data = packed
+    words = array("q")
+    words.frombytes(data)
+    return list(zip(*[iter(words)] * width))
+
+
+def slice_packed(packed: Packed, start: int, stop: int) -> Packed:
+    """Rows ``[start, stop)`` of a packed morsel, still packed."""
+    width, data = packed
+    stride = width * _WORD
+    return (width, data[start * stride:stop * stride])
+
+
+def packed_len(packed: Packed) -> int:
+    """How many rows a packed morsel holds."""
+    width, data = packed
+    return len(data) // (width * _WORD) if width else 0
 
 
 def describe(descriptor: ResultDescriptor) -> Tuple[Any, ...]:

@@ -25,7 +25,12 @@ from repro.errors import (
     StorageError,
 )
 from repro.instrument import count_move
-from repro.storage.tuples import HeapPtr, TupleRef
+from repro.storage.tuples import (
+    MAX_PARTITIONS,
+    MAX_SLOTS,
+    HeapPtr,
+    TupleRef,
+)
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,17 @@ class Partition:
     def __init__(self, partition_id: int, config: PartitionConfig = None) -> None:
         self.id = partition_id
         self.config = config if config is not None else PartitionConfig()
+        # A tuple pointer is the word ``partition_id << 32 | slot`` in a
+        # signed int64; checked here, once per partition, so no pointer
+        # is ever range-checked.
+        if not 0 <= partition_id < MAX_PARTITIONS:
+            raise StorageError(
+                f"partition id {partition_id} outside [0, 2**31)"
+            )
+        if self.config.slot_capacity > MAX_SLOTS:
+            raise StorageError(
+                f"slot capacity {self.config.slot_capacity} exceeds 2**32"
+            )
         self._slots: List[object] = []
         self._free_slots: List[int] = []
         self._heap_space: Optional[bytearray] = None

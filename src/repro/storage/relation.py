@@ -213,12 +213,12 @@ class Relation:
         """
         position = self.physical_schema.position(field_name)
         in_heap = self.physical_schema.fields[position].type is FieldType.STR
-        partitions = self._partitions  # cleared and refilled, never rebound
+        parts = self._partitions  # cleared and refilled, never rebound
         locate = self._locate
 
         def read(ref: TupleRef) -> Any:
             try:
-                value = partitions[ref.partition_id]._slots[ref.slot][position]
+                value = parts[ref >> 32]._slots[ref & 0xFFFFFFFF][position]
             except (KeyError, IndexError, TypeError):
                 pass
             else:
@@ -429,19 +429,22 @@ class Relation:
 
     def _locate(self, ref: TupleRef):
         """Resolve a ref to (partition, slot), following forwarding."""
-        part = self.partition(ref.partition_id)
-        target = part.forwarding(ref.slot)
+        part = self.partition(ref >> 32)
+        slot = ref & 0xFFFFFFFF
+        target = part.forwarding(slot)
         hops = 0
         while target is not None:
             count_traverse()
-            part = self.partition(target.partition_id)
-            slot = target.slot
+            part = self.partition(target >> 32)
+            slot = target & 0xFFFFFFFF
             target = part.forwarding(slot)
-            ref = TupleRef(part.id, slot)
             hops += 1
             if hops > len(self._partitions) + 1:
-                raise StorageError(f"{self.name}: forwarding cycle at {ref}")
-        return part, ref.slot
+                raise StorageError(
+                    f"{self.name}: forwarding cycle at "
+                    f"{TupleRef(part.id, slot)}"
+                )
+        return part, slot
 
     def resolve(self, ref: TupleRef) -> TupleRef:
         """Canonicalise a ref (follow forwarding addresses)."""
@@ -466,7 +469,10 @@ class Relation:
         partition with room and a forwarding address is left behind; the
         original ``ref`` stays valid (footnote 1 of the paper).  Indexes
         are keyed by extraction through the pointer, so only indexes on
-        the changed field need maintenance.
+        the changed field need maintenance — unless the tuple moved:
+        the relation's indexes hold canonical pointers (what a rebuild
+        from ``_all_refs`` gives, and what :meth:`delete` and this
+        method look entries up by), so a relocation re-points every one.
         """
         position = self.physical_schema.position(field_name)
         field_def = self.physical_schema.fields[position]
@@ -478,7 +484,7 @@ class Relation:
             for idx in self._indexes.values()
             if _index_covers(idx, field_name)
         ]
-        canonical = self.resolve(ref)
+        canonical = moved_to = self.resolve(ref)
         for idx in affected:
             idx.delete(canonical)
         try:
@@ -497,9 +503,15 @@ class Relation:
                 )
             except HeapOverflowError:
                 self._relocate(part, slot, position, value)
+                moved_to = self.resolve(canonical)
         finally:
             for idx in affected:
-                idx.insert(canonical)
+                idx.insert(moved_to)
+        if moved_to != canonical:
+            for idx in self._indexes.values():
+                if idx not in affected:
+                    idx.delete(canonical)
+                    idx.insert(moved_to)
 
     def _relocate(
         self, part: Partition, slot: int, position: int, value: object

@@ -2,7 +2,7 @@
 
 Covers the full contract stack:
 
-* packed-layout round-trips (header, refs, rows, slices);
+* the segment carries exactly the packed wire bytes (rows, slices);
 * :class:`ShmArena` lifecycle — create/unlink/transfer/drain, fork-child
   disownment (a child must never unlink the parent's live segments);
 * the worker-side :class:`SegmentCache` and probe-table LRU bounds;
@@ -30,6 +30,7 @@ from repro.errors import ConfigError, PoisonedMorselError
 from repro.fault import FaultPolicy
 from repro.instrument import counters_scope
 from repro.query.parallel import ParallelBatchExecutor, shm, tasks
+from repro.query.parallel.transport import encode_refs, encode_rows
 from repro.query.plan import FilterNode, JoinNode, ProjectNode, ScanNode
 from repro.query.predicates import gt, lt
 from repro.query.vectorized import DEREF_SAVED_COUNTER, BatchExecutor
@@ -107,45 +108,6 @@ def _run(executor, plan):
 
 
 # --------------------------------------------------------------------- #
-# packed layout
-# --------------------------------------------------------------------- #
-
-
-class TestPackedLayout:
-    def test_rows_round_trip(self):
-        rows = [((1, 2), (3, 4)), ((5, 6), (7, 8)), ((9, 10), (11, 12))]
-        buf = bytearray(shm.packed_nbytes(2, len(rows)))
-        written = shm.pack_into(buf, rows, 2, "rows")
-        assert written == len(buf)
-        assert shm.unpack_header(buf) == (2, 3)
-        assert shm.unpack_rows(buf, 2, 0, 3) == rows
-        assert shm.unpack_rows(buf, 2, 1, 2) == rows[1:2]
-
-    def test_refs_round_trip(self):
-        pairs = [(0, 5), (1, 9), (2, 123456789)]
-        buf = bytearray(shm.packed_nbytes(1, len(pairs)))
-        shm.pack_into(buf, pairs, 1, "refs")
-        assert shm.unpack_header(buf) == (1, 3)
-        assert shm.unpack_refs(buf, 3) == pairs
-
-    def test_empty_payload_round_trips(self):
-        buf = bytearray(shm.packed_nbytes(3, 0))
-        shm.pack_into(buf, [], 3, "rows")
-        assert shm.unpack_header(buf) == (3, 0)
-        assert shm.unpack_rows(buf, 3, 0, 0) == []
-
-    def test_int64_extremes_survive(self):
-        rows = [((2**62, -(2**62)),)]
-        buf = bytearray(shm.packed_nbytes(1, 1))
-        shm.pack_into(buf, rows, 1, "rows")
-        assert shm.unpack_rows(buf, 1, 0, 1) == rows
-
-    def test_unknown_shape_is_rejected(self):
-        with pytest.raises(ValueError):
-            shm.pack_into(bytearray(16), [], 1, "blobs")
-
-
-# --------------------------------------------------------------------- #
 # arena lifecycle
 # --------------------------------------------------------------------- #
 
@@ -153,19 +115,23 @@ class TestPackedLayout:
 @pytest.mark.skipif(not shm.available(), reason="no shared_memory")
 class TestArenaLifecycle:
     def test_write_read_unlink_rows(self):
-        rows = [((0, i), (1, i + 1)) for i in range(50)]
+        packed = encode_rows([(i, 1 << 32 | i + 1) for i in range(50)])
         before = shm.arena().active_segments()
-        descriptor = shm.write_rows(rows, 2, "rows")
+        descriptor = shm.write_rows(packed)
         assert shm.is_rows(descriptor)
+        # One layout, two carriers: the segment holds the wire bytes
+        # themselves — 8 per pointer word, no header.
+        assert descriptor[2:] == (2, 50 * 2 * 8)
         assert shm.arena().active_segments() == before + 1
-        assert shm.read_rows(descriptor, unlink=True) == rows
+        assert shm.read_rows(descriptor, unlink=True) == packed
         assert shm.arena().active_segments() == before
 
     def test_read_without_unlink_keeps_segment(self):
-        descriptor = shm.write_rows([(0, 1)], 1, "refs")
-        assert shm.read_rows(descriptor, unlink=False) == [(0, 1)]
+        packed = encode_refs([1])
+        descriptor = shm.write_rows(packed)
+        assert shm.read_rows(descriptor, unlink=False) == packed
         # Still attachable by name — then reclaim it.
-        assert shm.read_rows(descriptor, unlink=True) == [(0, 1)]
+        assert shm.read_rows(descriptor, unlink=True) == packed
 
     def test_blob_round_trip(self):
         blob = os.urandom(10_000)
@@ -177,14 +143,15 @@ class TestArenaLifecycle:
             shm.arena().unlink(descriptor[1])
 
     def test_slice_descriptor_reads_window(self):
-        rows = [((0, i),) for i in range(100)]
-        packed = shm.write_rows(rows, 1, "rows")
-        name = packed[1]
+        rows = [(i, 2**31 + i) for i in range(100)]
+        name = shm.write_rows(encode_rows(rows))[1]
         try:
             segment = shm.attach(name)
             try:
-                window = shm.shm_slice(name, 1, 10, 20)
-                assert shm.read_slice(window, segment) == rows[10:20]
+                window = shm.shm_slice(name, 2, 10, 20)
+                assert shm.read_slice(window, segment) == encode_rows(
+                    rows[10:20]
+                )
             finally:
                 segment.close()
         finally:
@@ -193,27 +160,20 @@ class TestArenaLifecycle:
     def test_transfer_moves_unlink_duty(self):
         # A transferred descriptor is not owned by the creating arena
         # (the receiver unlinks) — exactly the worker-result protocol.
-        descriptor = shm.write_rows([(0, 1), (0, 2)], 1, "refs",
-                                    transfer=True)
+        descriptor = shm.write_rows(encode_refs([1, 2]), transfer=True)
         assert shm.arena().active_segments() == 0
         assert _dev_shm_residue() != []  # alive until the reader reaps it
-        assert shm.read_rows(descriptor, unlink=True) == [(0, 1), (0, 2)]
+        assert shm.read_rows(descriptor, unlink=True) == encode_refs([1, 2])
         assert _dev_shm_residue() == []
 
     def test_drain_reaps_everything_owned(self):
-        shm.write_rows([(0, 1)], 1, "refs")
-        shm.write_rows([(0, 2)], 1, "refs")
+        shm.write_rows(encode_refs([1]))
+        shm.write_rows(encode_refs([2]))
         assert shm.arena().drain() >= 2
         assert shm.arena().active_segments() == 0
 
     def test_unlink_tolerates_missing_segment(self):
         shm.arena().unlink("repro-never-existed-12345")
-
-    def test_descriptor_nbytes(self):
-        assert shm.descriptor_nbytes(shm.shm_slice("x", 2, 10, 20)) == 320
-        assert shm.descriptor_nbytes(("shm:rows", "x", "rows", 2, 5)) == 160
-        assert shm.descriptor_nbytes(("shm:blob", "x", 77)) == 77
-        assert shm.descriptor_nbytes([1, 2, 3]) == 0
 
     def test_forked_child_disowns_parent_segments(self):
         # Re-fork safety: a forked child inherits the arena registry
@@ -223,7 +183,7 @@ class TestArenaLifecycle:
 
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork on this platform")
-        descriptor = shm.write_rows([(0, 7)], 1, "refs")
+        descriptor = shm.write_rows(encode_refs([7]))
         try:
             ctx = multiprocessing.get_context("fork")
             queue = ctx.SimpleQueue()
@@ -239,7 +199,9 @@ class TestArenaLifecycle:
             assert proc.exitcode == 0
             assert queue.get() == (0, 0)
             # The parent's segment survived the child's drain.
-            assert shm.read_rows(descriptor, unlink=False) == [(0, 7)]
+            assert shm.read_rows(descriptor, unlink=False) == encode_refs(
+                [7]
+            )
         finally:
             shm.arena().unlink(descriptor[1])
 
@@ -252,7 +214,7 @@ class TestArenaLifecycle:
 @pytest.mark.skipif(not shm.available(), reason="no shared_memory")
 class TestSegmentCache:
     def test_lru_eviction_and_counters(self):
-        names = [shm.write_rows([(0, i)], 1, "refs")[1] for i in range(3)]
+        names = [shm.write_rows(encode_refs([i]))[1] for i in range(3)]
         cache = shm.SegmentCache(limit=2)
         try:
             cache.get(names[0])

@@ -1,23 +1,38 @@
 """Direct unit coverage for :mod:`repro.query.parallel.transport`.
 
-These edge cases were previously exercised only indirectly through the
-parallel engine: degenerate morsel bounds, deep predicate trees on the
-plain-predicate gate, and the catalog-identity check in
+The packed wire (one ``(row_width, int64 bytes)`` value per morsel,
+DESIGN.md section 3.16) round-trips bit-exactly and never rebuilds a
+``TupleRef``; plus the edge cases otherwise exercised only indirectly
+through the parallel engine: degenerate morsel bounds, deep predicate
+trees on the plain-predicate gate, and the catalog-identity check in
 ``describable()`` — which must reject a descriptor whose source merely
 *shares a name* with a catalog relation without being the same object
 (a forked worker would silently resolve the name to different data).
 """
 
+from array import array
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import Field, FieldType, MainMemoryDatabase
+from repro.instrument import counters_scope
+from repro.query.parallel import ParallelBatchExecutor, fork_available
 from repro.query.parallel.transport import (
+    decode_refs,
+    decode_rows,
     describable,
     describe,
+    encode_refs,
+    encode_rows,
     morsel_bounds,
+    packed_len,
     plain_predicate,
     rebuild,
+    slice_packed,
 )
+from repro.query.plan import JoinNode, ScanNode
 from repro.query.predicates import (
     Comparison,
     Conjunction,
@@ -29,6 +44,72 @@ from repro.query.predicates import (
     lt,
 )
 from repro.storage.temporary import ResultDescriptor
+from repro.storage.tuples import TupleRef
+
+# --------------------------------------------------------------------- #
+# the packed wire
+# --------------------------------------------------------------------- #
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+def rows_of_width(width):
+    return st.lists(st.tuples(*[INT64] * width), max_size=40)
+
+
+class TestPackedWire:
+    @given(st.integers(1, 5).flatmap(rows_of_width))
+    def test_rows_round_trip(self, rows):
+        packed = encode_rows(rows)
+        assert decode_rows(packed) == rows
+        assert packed_len(packed) == len(rows)
+        if rows:
+            width, data = packed
+            assert width == len(rows[0])
+            assert len(data) == 8 * width * len(rows)
+
+    @given(st.lists(INT64, max_size=60))
+    def test_refs_round_trip(self, refs):
+        packed = encode_refs(refs)
+        assert decode_refs(packed) == refs
+        # A ref morsel is a width-1 row morsel: one layout.
+        assert packed == encode_rows([(ref,) for ref in refs]) or not refs
+        assert decode_rows(packed) == [(ref,) for ref in refs]
+
+    @given(
+        st.integers(1, 5).flatmap(rows_of_width),
+        st.integers(0, 40),
+        st.integers(0, 40),
+    )
+    def test_slices_are_row_windows(self, rows, start, stop):
+        window = slice_packed(encode_rows(rows), start, stop)
+        assert decode_rows(window) == rows[start:stop]
+
+    def test_empty_morsel(self):
+        assert encode_rows([]) == (0, b"")
+        assert decode_rows(encode_rows([])) == []
+        assert packed_len(encode_rows([])) == 0
+        assert decode_refs(encode_refs([])) == []
+
+    def test_int64_extremes_and_pointer_corners(self):
+        rows = [
+            (2**63 - 1, -(2**63)),
+            (TupleRef(2**31 - 1, 2**32 - 1), TupleRef(0, 0)),
+        ]
+        assert decode_rows(encode_rows(rows)) == rows
+        with pytest.raises(OverflowError):
+            encode_rows([(2**63,)])
+
+    def test_layout_is_native_int64_row_major(self):
+        rows = [(1, 2), (3, 4)]
+        assert encode_rows(rows) == (2, array("q", [1, 2, 3, 4]).tobytes())
+
+    def test_decoded_pointers_are_plain_ints(self):
+        rows = [(TupleRef(1, 2), TupleRef(3, 4))]
+        ((left, right),) = decode_rows(encode_rows(rows))
+        assert type(left) is int and type(right) is int
+        assert (left, right) == rows[0]
+        assert type(decode_refs(encode_refs([TupleRef(5, 6)]))[0]) is int
 
 
 # --------------------------------------------------------------------- #
@@ -174,3 +255,79 @@ class TestDescribable:
             ],
         )
         assert not describable(db_a.catalog, mixed)
+
+
+# --------------------------------------------------------------------- #
+# the coordinator rebuilds no pointers
+# --------------------------------------------------------------------- #
+
+
+def _db_with_r_and_s(n_r=600, n_s=200):
+    db = MainMemoryDatabase()
+    for name in ("R", "S"):
+        db.create_relation(
+            name,
+            [Field("Id", FieldType.INT), Field("A", FieldType.INT)],
+            primary_key="Id",
+        )
+    for i in range(n_r):
+        db.insert("R", [i, i % 37])
+    for i in range(n_s):
+        db.insert("S", [i, i % 37])
+    return db
+
+
+@pytest.fixture()
+def pointer_births(monkeypatch):
+    """Counts ``TupleRef.__new__`` calls in this process."""
+    births = []
+    original = TupleRef.__new__
+
+    def counting(cls, partition_id, slot):
+        births.append((partition_id, slot))
+        return original(cls, partition_id, slot)
+
+    monkeypatch.setattr(TupleRef, "__new__", counting)
+    return births
+
+
+@pytest.mark.parametrize(
+    "pool",
+    [
+        "inline",
+        pytest.param(
+            "process",
+            marks=pytest.mark.skipif(
+                not fork_available(), reason="no fork on this platform"
+            ),
+        ),
+    ],
+)
+@pytest.mark.parametrize("transport", ["pickle", "shm"])
+def test_parallel_join_and_scan_construct_no_tuplerefs(
+    pointer_births, pool, transport
+):
+    """Regression guard for the wire: a parallel scan and a parallel
+    hash join move pointers as packed words and hand back plain-int
+    rows — not one ``TupleRef`` is constructed on the coordinator (with
+    the inline pool, nor in the "workers")."""
+    db = _db_with_r_and_s()
+    executor = ParallelBatchExecutor(
+        db.catalog, workers=2, morsel_size=64, pool=pool,
+        transport=transport, shm_threshold_rows=32,
+    )
+    try:
+        del pointer_births[:]
+        with counters_scope():
+            scanned = executor.execute(ScanNode("R", gt("A", 5))).rows()
+            joined = executor.execute(
+                JoinNode(ScanNode("R"), ScanNode("S"), "A", "A", "hash")
+            ).rows()
+        assert executor.scheduler.stats["morsels"] > 4
+        assert scanned and joined
+        assert pointer_births == []
+        # The rows are still pointers: any int carrying the word is one.
+        relation = db.catalog.relation("R")
+        assert all(relation.read_field(row[0], "A") > 5 for row in scanned)
+    finally:
+        executor.close()

@@ -157,6 +157,29 @@ class TestUpdate:
         rel.update(ref, "k", 42)
         assert rel.read_field(ref, "k") == 42
 
+    @pytest.mark.parametrize("kind", ["array", "ttree", "linear_hash"])
+    def test_relocated_tuple_stays_maintainable_in_duplicate_index(
+        self, kind
+    ):
+        # A non-unique index deletes the exact pointer it holds, and the
+        # relation looks entries up by the canonical pointer: after a
+        # move every index must hold that one, or delete and re-key of a
+        # relocated tuple raise KeyNotFoundError (found by
+        # tests/indexes/test_index_state_machine.py).
+        rel = make_relation(slots=8, heap=32)
+        rel.create_index("by_k", "k", kind=kind, unique=False)
+        rel.create_index("by_s", "s", kind=kind, unique=False)
+        first = rel.insert([1, "0123456789"])
+        second = rel.insert([2, "0123456789"])
+        rel.update(first, "s", "X" * 30)  # relocates
+        assert rel.resolve(first) != first
+        rel.update(first, "k", 7)
+        assert rel.index("by_k").search_all(7) == [rel.resolve(first)]
+        assert rel.index("by_s").search_all("X" * 30) == [rel.resolve(first)]
+        rel.delete(first)
+        assert rel.index("by_k").search_all(7) == []
+        assert list(rel.index("by_k").scan()) == [second]
+
     def test_update_type_checked(self):
         rel = make_relation()
         ref = rel.insert([1, "one"])
