@@ -3,20 +3,15 @@
 Runs the Graph-2-style 60/20/20 query mix (the same plan trees as
 ``bench_vectorized.py``: 18 selections, 6 hash joins, 6 hash-dedup
 projections) through the batch engine at each ``--workers`` count and
-reports wall-clock, weighted cost, and raw counters per worker count,
-plus a parallel T-Tree index build series.
+reports wall-clock, weighted cost, and raw counters per worker count.
 
-Two properties are asserted:
-
-* **determinism** — every worker count produces identical result rows
-  and identical merged Section 3.1 counter totals (the
-  ``deref_saved_traversals`` extra is excluded: per-morsel memos cannot
-  span morsel boundaries, see DESIGN.md section 3.9);
-* **speedup** — with >= 4 CPU cores, a usable fork pool and full-scale
-  data, 4 workers must beat workers=1 by >= 2x wall-clock on the mix.
-  On smaller hosts or scaled-down data the speedup is recorded but
-  informational (morsel dispatch cannot beat Amdahl on one core);
-  set ``REPRO_REQUIRE_SPEEDUP=1`` to force the gate.
+Asserted: **determinism** — every worker count produces identical
+result rows and identical merged Section 3.1 counter totals (the
+``deref_saved_traversals`` extra is excluded: per-morsel memos cannot
+span morsel boundaries, see DESIGN.md section 3.9).  Wall-clock and
+speed-ups are reported, never gated: the end-to-end benchmark
+(``benchmarks/e2e``, ``query_mix_par``) is where parallel time is
+judged.
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ try:
         run_mix,
     )
     from benchmarks.harness import (
-        FULL_SCALE,
         WORKERS,
         SeriesCollector,
         configure_engine,
@@ -49,7 +43,6 @@ except ImportError:  # pragma: no cover - direct execution
         run_mix,
     )
     from harness import (
-        FULL_SCALE,
         WORKERS,
         SeriesCollector,
         configure_engine,
@@ -60,8 +53,6 @@ from repro.instrument import counters_scope
 from repro.query.parallel import fork_available
 
 TIMING_ROUNDS = 3
-REQUIRED_SPEEDUP = 2.0
-GATED_WORKERS = 4
 
 #: Worker counts to sweep: the ``--workers`` selection, or the
 #: canonical {1, 2, 4} ladder when none was given.
@@ -81,19 +72,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
     except Exception:  # pragma: no cover
         return 1
-
-
-def speedup_gate_active() -> bool:
-    """Enforce the 2x gate only where 2x is physically attainable."""
-    if os.environ.get("REPRO_REQUIRE_SPEEDUP", "") not in ("", "0"):
-        return True
-    return (
-        FULL_SCALE
-        and _cpu_count() >= GATED_WORKERS
-        and fork_available()
-        and GATED_WORKERS in WORKER_SWEEP
-        and 1 in WORKER_SWEEP
-    )
 
 
 def _counters_key(snapshot) -> dict:
@@ -156,41 +134,6 @@ def run_query_mix(db, plans, series):
     return seconds, latencies
 
 
-def run_index_build(db, series):
-    """Time sequential vs. parallel T-Tree builds on the Orders table."""
-    relation = db.catalog.relation("Orders")
-    for label, workers in [("sequential", 1)] + [
-        (f"parallel@{n}", n) for n in WORKER_SWEEP if n > 1
-    ]:
-        configure_engine(
-            db,
-            engine="batch",
-            workers=workers,
-            morsel_size=MORSEL_SIZE,
-            pool=_pool_mode(),
-        )
-        best = None
-        snap = None
-        for _ in range(TIMING_ROUNDS):
-            _, counters, elapsed = measure(
-                lambda: relation.create_index(
-                    "bench_qty_ix", "Qty", kind="ttree",
-                    parallel=workers > 1,
-                )
-            )
-            relation.drop_index("bench_qty_ix")
-            if best is None or elapsed < best:
-                best, snap = elapsed, counters
-        series.add(
-            f"index build {label}",
-            seconds=best,
-            cost=snap.weighted_cost(),
-            traversals=snap.traversals,
-            comparisons=snap.comparisons,
-        )
-    configure_engine(db, engine="tuple")
-
-
 def main() -> None:
     db = build_db()
     plans = query_mix()
@@ -210,49 +153,25 @@ def main() -> None:
     )
     seconds, latencies = run_query_mix(db, plans, series)
 
-    build_series = SeriesCollector(
-        f"Parallel T-Tree index build, |Orders|={N_OUTER}",
-        "build",
-        ["seconds", "cost", "traversals", "comparisons"],
-    )
-    run_index_build(db, build_series)
-    build_series.show()
-
     baseline = seconds[WORKER_SWEEP[0]]
     speedups = {
         workers: round(baseline / elapsed, 3)
         for workers, elapsed in seconds.items()
     }
-    gate = speedup_gate_active()
     series.publish(
         "parallel_query_mix",
         extra={
             "speedups": {str(k): v for k, v in speedups.items()},
-            "required_speedup": REQUIRED_SPEEDUP,
-            "speedup_gate_enforced": gate,
             "pool": _pool_mode(),
             "cpu_count": _cpu_count(),
             "morsel_size": MORSEL_SIZE,
             "queries": N_QUERIES,
             "mix": {"selections": 18, "joins": 6, "projections": 6},
-            "index_build": {
-                str(x): values for x, values in build_series.points
-            },
         },
         config={"engine": "batch", "workers": list(WORKER_SWEEP)},
         latencies=latencies,
     )
-    print(
-        f"speedups vs workers={WORKER_SWEEP[0]}: {speedups} "
-        f"(gate {'ENFORCED' if gate else 'informational'}: "
-        f">= {REQUIRED_SPEEDUP}x at {GATED_WORKERS} workers)"
-    )
-    if gate:
-        achieved = speedups.get(GATED_WORKERS, 0.0)
-        assert achieved >= REQUIRED_SPEEDUP, (
-            f"parallel speedup {achieved:.2f}x at {GATED_WORKERS} workers "
-            f"is below the required {REQUIRED_SPEEDUP}x"
-        )
+    print(f"speedups vs workers={WORKER_SWEEP[0]}: {speedups}")
 
 
 if __name__ == "__main__":

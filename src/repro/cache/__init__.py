@@ -16,7 +16,7 @@ from repro.cache.fingerprint import (
     versions_current,
 )
 from repro.cache.lru import LRUCache
-from repro.cache.plan_cache import PlanCache, normalize_sql
+from repro.cache.plan_cache import PlanCache
 from repro.cache.result_cache import ResultCache
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "ResultCache",
     "dependency_closure",
     "dependency_versions",
-    "normalize_sql",
     "plan_fingerprint",
     "plan_relations",
     "versions_current",

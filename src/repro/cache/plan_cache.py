@@ -1,6 +1,8 @@
 """Plan cache: skip lexing, parsing, and optimisation for repeat SQL.
 
-Two LRU layers keyed on normalized statement text:
+Two LRU layers keyed on the statement key the SQL layer hands in (a
+statement template's key plus its lifted literals, see
+:mod:`repro.sql.template`):
 
 * an **AST cache** (``plan_ast``) that skips the lexer and recursive-
   descent parser, and
@@ -16,8 +18,7 @@ in-plan) without a catalog-wide sweep.
 
 from __future__ import annotations
 
-import re
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 from repro.cache.fingerprint import (
     FingerprintError,
@@ -28,8 +29,6 @@ from repro.cache.lru import LRUCache
 from repro.errors import CatalogError
 from repro.obs import runtime as obs_runtime
 
-_WHITESPACE = re.compile(r"\s+")
-
 
 def _record(layer: str, outcome: str) -> None:
     """Count one cache request into the active metrics registry."""
@@ -38,24 +37,8 @@ def _record(layer: str, outcome: str) -> None:
         obs.metric_inc("cache_requests_total", layer=layer, outcome=outcome)
 
 
-def normalize_sql(text: str) -> str:
-    """Canonical cache key for a SQL statement.
-
-    Strips surrounding whitespace and a trailing ``;`` and collapses
-    internal whitespace runs — but only when the statement contains no
-    quote character, because whitespace inside string literals is
-    significant (``'a  b'`` and ``'a b'`` are different constants).
-    """
-    text = text.strip()
-    if text.endswith(";"):
-        text = text[:-1].rstrip()
-    if "'" not in text and '"' not in text:
-        text = _WHITESPACE.sub(" ", text)
-    return text
-
-
 class PlanCache:
-    """Normalized-text → AST and normalized-text → optimized-plan caches."""
+    """Statement key → AST and statement key → optimized-plan caches."""
 
     def __init__(self, ast_capacity: int = 128, plan_capacity: int = 128) -> None:
         self.ast_cache = LRUCache(ast_capacity, "plan_ast")
@@ -64,7 +47,7 @@ class PlanCache:
     # -- parsed-statement layer -------------------------------------------
 
     def statement_for(self, key: Any):
-        """Cached parsed AST for a normalized statement key, or None."""
+        """Cached parsed AST for a statement key, or None."""
         statement = self.ast_cache.get(key)
         _record("ast", "miss" if statement is None else "hit")
         return statement

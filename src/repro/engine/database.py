@@ -263,8 +263,6 @@ class MainMemoryDatabase:
         pool: str = None,
         retry_attempts: int = None,
         retry_timeout: float = None,
-        transport: str = None,
-        shm_threshold_rows: int = None,
         retry_backoff=None,
     ):
         """Select the execution engine (tuple-at-a-time vs. batch).
@@ -282,12 +280,6 @@ class MainMemoryDatabase:
         result caches and observability carry over.  Invalid settings
         raise :class:`repro.errors.ConfigError` here, before any plan
         runs.  Returns the new executor.
-
-        ``transport="shm"`` moves morsel payloads through packed
-        shared-memory segments instead of the pool pipe (see DESIGN.md
-        section 3.13); the default follows ``REPRO_TRANSPORT``, falling
-        back to ``"pickle"``.  ``shm_threshold_rows`` tunes the minimum
-        payload size worth a segment.
         """
         from repro.errors import ConfigError
         from repro.query.vectorized import BatchExecutor, ExecutionConfig
@@ -300,8 +292,6 @@ class MainMemoryDatabase:
             "pool": pool,
             "retry_attempts": retry_attempts,
             "retry_timeout": retry_timeout,
-            "transport": transport,
-            "shm_threshold_rows": shm_threshold_rows,
             "retry_backoff": retry_backoff,
         }
         given = {
@@ -322,7 +312,6 @@ class MainMemoryDatabase:
         if config.engine == "batch":
             if config.workers > 1:
                 from repro.query.parallel import ParallelBatchExecutor
-                from repro.query.parallel import runtime as par_runtime
 
                 self.executor = ParallelBatchExecutor(
                     self.catalog,
@@ -333,11 +322,8 @@ class MainMemoryDatabase:
                     pool=config.pool,
                     retry_attempts=config.retry_attempts,
                     retry_timeout=config.retry_timeout,
-                    transport=config.transport,
-                    shm_threshold_rows=config.shm_threshold_rows,
                     retry_backoff=config.retry_backoff,
                 )
-                par_runtime.activate_scheduler(self.executor.scheduler)
             else:
                 self.executor = BatchExecutor(
                     self.catalog, self.result_cache, config.batch_size
@@ -362,14 +348,9 @@ class MainMemoryDatabase:
         )
 
     def _retire_executor(self, executor) -> None:
-        """Release a replaced executor's pool and scheduler slot."""
+        """Release a replaced executor's worker pool."""
         if executor is None or executor is self.executor:
             return
-        scheduler = getattr(executor, "scheduler", None)
-        if scheduler is not None:
-            from repro.query.parallel import runtime as par_runtime
-
-            par_runtime.deactivate_scheduler(scheduler)
         close = getattr(executor, "close", None)
         if close is not None:
             close()
@@ -424,18 +405,11 @@ class MainMemoryDatabase:
         scheduler = getattr(self.executor, "scheduler", None)
         if scheduler is None:
             return None
-        from repro.query.parallel import shm, tasks
+        from repro.query.parallel import tasks
 
         stats: Dict[str, Any] = dict(scheduler.stats)
         stats["workers"] = {
             pid: dict(per) for pid, per in scheduler.worker_stats.items()
-        }
-        stats["transport"] = scheduler.transport
-        arena = shm.arena()
-        stats["shm"] = {
-            "segments_active": arena.active_segments(),
-            "segments_created": arena.created_segments,
-            "bytes_created": arena.created_bytes,
         }
         stats["blob_cache"] = tasks.blob_cache_stats()
         return stats

@@ -53,10 +53,6 @@ FAULT_POINTS: Dict[str, Tuple[str, ...]] = {
     # One whole scheduler.run() process dispatch: error (the pool is
     # treated as broken and the run falls back inline).
     "pool.dispatch": ("error",),
-    # One shared-memory attach/unpack on the worker side (dispatch-slice
-    # resolution or broadcast-blob read): error — the morsel fails like
-    # any worker exception and rides the retry/quarantine path.
-    "pool.shm": ("error",),
     # RecoveryManager.checkpoint_all, per partition: error — a crash
     # window with some partitions checkpointed and some not.
     "checkpoint.partition": ("error", "latency"),

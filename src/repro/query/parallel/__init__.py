@@ -8,10 +8,6 @@ that totals are identical regardless of worker count:
 * :mod:`~repro.query.parallel.transport` — wire encoding (packed
   int64 pointer morsels, descriptor specs, plain-predicate checks,
   morsel bounds);
-* :mod:`~repro.query.parallel.shm` — the shared-memory carrier for
-  those same packed morsels: the :class:`~repro.query.parallel.shm.
-  ShmArena` lifecycle registry and the worker-side segment cache
-  behind ``configure_execution(transport="shm")``;
 * :mod:`~repro.query.parallel.tasks` — worker-side task functions over
   the forked catalog snapshot;
 * :mod:`~repro.query.parallel.scheduler` —
@@ -19,11 +15,10 @@ that totals are identical regardless of worker count:
   ordered dispatch;
 * :mod:`~repro.query.parallel.engine` —
   :class:`ParallelBatchExecutor`, the ``workers > 1`` executor behind
-  ``db.configure_execution(engine="batch", workers=N)``;
-* :mod:`~repro.query.parallel.build` — two-phase parallel index build
-  behind ``Relation.create_index(..., parallel=True)``;
-* :mod:`~repro.query.parallel.runtime` — the process-wide scheduler
-  slot the storage layer reaches the pool through.
+  ``db.configure_execution(engine="batch", workers=N)``.
+
+:mod:`~repro.query.parallel.shm` is not part of the morsel path: it is
+the shared-memory byte carrier the replication channels use.
 """
 
 from repro.query.parallel.engine import ParallelBatchExecutor

@@ -12,8 +12,9 @@ hot, data-parallel operators out over a
 
 Everything else — index leaves, sorts, the non-hash join methods,
 sort-based dedup, non-plain predicates (the FK rewrite captures live
-relations), and any input at or below one morsel — takes the inherited
-scalar batch path unchanged.
+relations), and any input at or below one morsel — runs the inherited
+batch operators (``_filter_batches``, ``_hash_join_rows``, ...)
+unchanged.
 
 **Counter-merge contract.**  Morsel boundaries are a function of the
 input size and ``morsel_size`` only, never of the worker count; every
@@ -35,15 +36,13 @@ tracer is active, exactly as in the scalar batch engine).
 
 from __future__ import annotations
 
-import os
 import pickle
-import warnings
+from itertools import chain
 from typing import Any, List, Optional, Tuple
 
 from repro.instrument import count_alloc, count_move, count_traverse
 from repro.instrument.counters import current_counters
 from repro.obs import runtime as obs_runtime
-from repro.query.parallel import shm
 from repro.query.parallel.scheduler import MorselScheduler
 from repro.query.parallel.tasks import merge_packed
 from repro.query.parallel.transport import (
@@ -65,13 +64,10 @@ from repro.query.plan import (
     ProjectNode,
     ScanNode,
 )
-from repro.query.vectorized.compile import compile_predicate
 from repro.query.vectorized.config import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_MORSEL_SIZE,
     DEFAULT_RETRY_ATTEMPTS,
-    DEFAULT_SHM_THRESHOLD,
-    TRANSPORTS,
 )
 from repro.query.vectorized.engine import BatchExecutor
 from repro.query.vectorized.kernels import (
@@ -97,11 +93,9 @@ class ParallelBatchExecutor(BatchExecutor):
         batch_size: int = DEFAULT_BATCH_SIZE,
         workers: int = 2,
         morsel_size: int = DEFAULT_MORSEL_SIZE,
-        pool: str = "auto",
+        pool: str = "process",
         retry_attempts: int = DEFAULT_RETRY_ATTEMPTS,
         retry_timeout: float = 0.0,
-        transport: Optional[str] = None,
-        shm_threshold_rows: int = DEFAULT_SHM_THRESHOLD,
         retry_backoff=None,
     ) -> None:
         super().__init__(catalog, result_cache, batch_size)
@@ -112,40 +106,12 @@ class ParallelBatchExecutor(BatchExecutor):
             )
         self.workers = int(workers)
         self.morsel_size = int(morsel_size)
-        if transport is None:
-            # Mirror ExecutionConfig: directly-constructed executors
-            # (tests, benches) honour the lane-wide env default too.
-            transport = os.environ.get("REPRO_TRANSPORT", "pickle")
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; choose from {TRANSPORTS}"
-            )
-        #: Why an shm request degraded to pickle (None when it didn't).
-        self.transport_fallback: Optional[str] = None
-        if transport == "shm" and not shm.available():
-            # Loud and deterministic: the caller asked for shm, the
-            # platform can't back it, and silence here would make every
-            # downstream byte measurement a lie.
-            self.transport_fallback = (
-                "multiprocessing.shared_memory unavailable; "
-                "using the pickle transport"
-            )
-            warnings.warn(
-                f"transport='shm' requested but {self.transport_fallback}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            transport = "pickle"
-        self.transport = transport
-        self.shm_threshold_rows = int(shm_threshold_rows)
         self.scheduler = MorselScheduler(
             catalog,
             self.workers,
             pool,
-            morsel_size=self.morsel_size,
             retry_attempts=retry_attempts,
             retry_timeout=retry_timeout,
-            transport=self.transport,
             retry_backoff=retry_backoff,
         )
 
@@ -178,11 +144,6 @@ class ParallelBatchExecutor(BatchExecutor):
         payloads = []
         for index, item in enumerate(results):
             payload, packed = item[0], item[1]
-            if shm.is_rows(payload):
-                # A worker moved this packed result into a transferred
-                # segment; copy it out (and reclaim the segment — the
-                # coordinator owns it from the transfer on).
-                payload = shm.read_rows(payload, unlink=True)
             telemetry = item[2] if len(item) > 2 else None
             with obs_runtime.span(
                 f"{op_name}.morsel", "morsel", index=index
@@ -215,73 +176,16 @@ class ParallelBatchExecutor(BatchExecutor):
             morsel_span.attrs["retries"] = retries
         if index in (last_run.get("quarantined") or ()):
             morsel_span.attrs["quarantined"] = True
-        transport = (last_run.get("transport") or {}).get(index)
-        if transport is not None:
-            morsel_span.attrs["transport"] = transport
         payload_bytes = (last_run.get("payload_bytes") or {}).get(index)
         if payload_bytes is not None:
             morsel_span.attrs["payload_bytes"] = payload_bytes
         if span_dict is not None:
             morsel_span.children.append(Span.from_dict(span_dict))
 
-    def _dispatch_morsels(
-        self, packed: Packed
-    ) -> Tuple[List[Any], Optional[str]]:
-        """Per-morsel dispatch payload elements, plus a segment to reap.
-
-        ``packed`` is one operator's whole input, packed once.  Pickle
-        transport (or an input under the shm threshold): each morsel
-        carries its own byte slice of it.  Shm transport above the
-        threshold: the same bytes go into one coordinator-owned
-        segment, and each morsel carries only a tiny slice descriptor
-        naming its ``[start, stop)`` window.  The caller must unlink
-        the returned segment name after the run (see :meth:`_run_op`).
-        """
-        total = packed_len(packed)
-        bounds = morsel_bounds(total, self.morsel_size)
-        if self.transport == "shm" and total >= self.shm_threshold_rows:
-            name = shm.write_rows(packed)[1]
-            return (
-                [
-                    shm.shm_slice(name, packed[0], start, stop)
-                    for start, stop in bounds
-                ],
-                name,
-            )
-        return (
-            [slice_packed(packed, start, stop) for start, stop in bounds],
-            None,
-        )
-
-    def _run_op(
-        self,
-        kind: str,
-        payloads: List[tuple],
-        segments: Tuple[Optional[str], ...] = (),
-    ) -> List[Tuple[Any, tuple]]:
-        """One scheduler run, with shm wrapping and segment reaping.
-
-        In shm mode every payload is wrapped as ``("shm:req",
-        threshold, inner)`` so workers know to pack large results into
-        transferred segments; in pickle mode payloads pass through
-        *untouched* — the wire stays byte-identical to the classic
-        transport.  Coordinator-owned dispatch/broadcast segments are
-        unlinked after the run returns — by then every retry,
-        quarantine re-execution, and retry verification has finished
-        with them (attached readers on Linux survive the unlink; the
-        name just disappears).
-        """
-        if self.transport == "shm":
-            payloads = [
-                (shm.REQUEST_TAG, self.shm_threshold_rows, payload)
-                for payload in payloads
-            ]
-        try:
-            return self.scheduler.run(kind, payloads)
-        finally:
-            for name in segments:
-                if name is not None:
-                    shm.arena().unlink(name)
+    def _dispatch_morsels(self, packed: Packed) -> List[Packed]:
+        """One operator's whole input, packed once, cut into morsels."""
+        bounds = morsel_bounds(packed_len(packed), self.morsel_size)
+        return [slice_packed(packed, start, stop) for start, stop in bounds]
 
     # ------------------------------------------------------------------ #
     # parallel selection
@@ -298,12 +202,11 @@ class ParallelBatchExecutor(BatchExecutor):
         # worker gets its morsel of that walk packed.
         refs = list(relation.any_index().scan())
         token = self.scheduler.token
-        morsels, segment = self._dispatch_morsels(encode_refs(refs))
         payloads = [
             (token, relation.name, node.predicate, morsel)
-            for morsel in morsels
+            for morsel in self._dispatch_morsels(encode_refs(refs))
         ]
-        results = self._run_op("scan_filter", payloads, (segment,))
+        results = self.scheduler.run("scan_filter", payloads)
         kept: list = []
         for packed in self._merge_morsels("scan", results):
             kept.extend(decode_refs(packed))
@@ -321,11 +224,11 @@ class ParallelBatchExecutor(BatchExecutor):
             return None
         token = self.scheduler.token
         spec = describe(descriptor)
-        morsels, segment = self._dispatch_morsels(encode_rows(rows))
         payloads = [
-            (token, spec, predicate, morsel) for morsel in morsels
+            (token, spec, predicate, morsel)
+            for morsel in self._dispatch_morsels(encode_rows(rows))
         ]
-        results = self._run_op("filter_rows", payloads, (segment,))
+        results = self.scheduler.run("filter_rows", payloads)
         kept: list = []
         for packed in self._merge_morsels("filter", results):
             kept.extend(decode_rows(packed))
@@ -359,7 +262,7 @@ class ParallelBatchExecutor(BatchExecutor):
             count_alloc(_fit_partitions(len(inner), DEFAULT_PARTITIONS))
         with obs_runtime.span("hash_join.probe", "join_phase"):
             rows = self._probe_groups(
-                token, left_desc, node.left_col, outer, groups, len(inner)
+                token, left_desc, node.left_col, outer, groups
             )
         return rows
 
@@ -383,11 +286,11 @@ class ParallelBatchExecutor(BatchExecutor):
             plain = decode_rows(encode_rows(inner))
             return tasks.build_groups(plain, keys)
         spec = describe(descriptor)
-        morsels, segment = self._dispatch_morsels(encode_rows(inner))
         payloads = [
-            (token, spec, column, morsel) for morsel in morsels
+            (token, spec, column, morsel)
+            for morsel in self._dispatch_morsels(encode_rows(inner))
         ]
-        results = self._run_op("hash_build", payloads, (segment,))
+        results = self.scheduler.run("hash_build", payloads)
         merged: dict = {}
         for groups in self._merge_morsels("hash_join.build", results):
             for key, rows in groups.items():
@@ -405,7 +308,6 @@ class ParallelBatchExecutor(BatchExecutor):
         column: str,
         outer: list,
         groups: dict,
-        inner_size: int,
     ) -> list:
         from repro.query.parallel import tasks
 
@@ -418,24 +320,11 @@ class ParallelBatchExecutor(BatchExecutor):
         blob = pickle.dumps(groups, protocol=pickle.HIGHEST_PROTOCOL)
         table_id = self.scheduler.next_blob_id()
         spec = describe(descriptor)
-        morsels, segment = self._dispatch_morsels(encode_rows(outer))
-        blob_segment: Optional[str] = None
-        if (
-            self.transport == "shm"
-            and len(blob) >= shm.MIN_BLOB_BYTES
-        ):
-            # Broadcast once: the pickled build table goes into a single
-            # segment every worker attaches by name, instead of riding
-            # inside every probe payload on the pipe.
-            blob = shm.write_blob(blob)
-            blob_segment = blob[1]
         payloads = [
             (token, spec, column, table_id, blob, morsel)
-            for morsel in morsels
+            for morsel in self._dispatch_morsels(encode_rows(outer))
         ]
-        results = self._run_op(
-            "hash_probe", payloads, (segment, blob_segment)
-        )
+        results = self.scheduler.run("hash_probe", payloads)
         out: list = []
         for packed in self._merge_morsels("hash_join.probe", results):
             out.extend(decode_rows(packed))
@@ -462,11 +351,11 @@ class ParallelBatchExecutor(BatchExecutor):
         token = self.scheduler.token
         spec = describe(descriptor)
         columns = tuple(node.columns)
-        morsels, segment = self._dispatch_morsels(encode_rows(rows))
         payloads = [
-            (token, spec, columns, morsel) for morsel in morsels
+            (token, spec, columns, morsel)
+            for morsel in self._dispatch_morsels(encode_rows(rows))
         ]
-        results = self._run_op("hash_dedup", payloads, (segment,))
+        results = self.scheduler.run("hash_dedup", payloads)
         seen = set()
         add = seen.add
         out: list = []
@@ -502,7 +391,7 @@ class ParallelBatchExecutor(BatchExecutor):
             plain_predicate(node.predicate)
             and describable(self.catalog, descriptor)
         ):
-            return self._scalar_stream_filter(node, descriptor, batches)
+            return descriptor, self._filter_batches(node, descriptor, batches)
 
         def generate():
             rows: list = []
@@ -512,45 +401,20 @@ class ParallelBatchExecutor(BatchExecutor):
                 if len(rows) > self.morsel_size:
                     break
             else:
-                # Never crossed one morsel: scalar-filter the buffer
-                # with a single mask (one memo, like the scalar stream).
-                yield from self._filter_buffered(node, descriptor, rows)
+                # Never crossed one morsel: filter the buffer in-process
+                # with a single mask (one memo, like the batch stream).
+                yield from self._filter_batches(
+                    node, descriptor, self._chunks(rows)
+                )
                 return
             for batch in iterator:
                 rows.extend(batch)
             kept = self._maybe_parallel_filter(
                 descriptor, node.predicate, rows
             )
-            if kept is None:  # pragma: no cover - raced describability
-                yield from self._filter_buffered(node, descriptor, rows)
-                return
             yield from self._chunks(kept)
 
         return descriptor, generate()
-
-    def _scalar_stream_filter(self, node, descriptor, batches):
-        mask = compile_predicate(
-            node.predicate, self._row_access(descriptor)
-        )
-
-        def generate():
-            for batch in batches:
-                flags = mask(batch)
-                kept = [row for row, keep in zip(batch, flags) if keep]
-                if kept:
-                    yield kept
-
-        return descriptor, generate()
-
-    def _filter_buffered(self, node, descriptor, rows):
-        mask = compile_predicate(
-            node.predicate, self._row_access(descriptor)
-        )
-        for chunk in self._chunks(rows):
-            flags = mask(chunk)
-            kept = [row for row, keep in zip(chunk, flags) if keep]
-            if kept:
-                yield kept
 
     def _stream_hash_join(self, node: JoinNode):
         left_desc, left_batches = self._stream(node.left)
@@ -558,40 +422,22 @@ class ParallelBatchExecutor(BatchExecutor):
         descriptor = self._join_descriptor(left_desc, right_desc)
 
         def generate():
-            inner: list = []
-            for batch in right_batches:
-                inner.extend(batch)
-            outer: list = []
-            for batch in left_batches:
-                outer.extend(batch)
-            rows = self._maybe_parallel_hash_join(
-                node, left_desc, outer, right_desc, inner
+            inner = list(chain.from_iterable(right_batches))
+            outer = list(chain.from_iterable(left_batches))
+            yield from self._chunks(
+                self._hash_join_rows(node, left_desc, outer, right_desc, inner)
             )
-            if rows is None:
-                rows = self._scalar_hash_join(
-                    node, left_desc, outer, right_desc, inner
-                )
-            yield from self._chunks(rows)
 
         return descriptor, generate()
 
-    def _scalar_hash_join(
-        self, node, left_desc, outer, right_desc, inner
-    ) -> list:
-        """The scalar batch engine's hash join over materialised inputs."""
-        from repro.query.vectorized.kernels import (
-            build_hash_table,
-            probe_hash_table,
+    def _hash_join_rows(self, node, left_desc, outer, right_desc, inner):
+        rows = self._maybe_parallel_hash_join(
+            node, left_desc, outer, right_desc, inner
         )
-
-        inner_key, inner_cost = self._batch_key(right_desc, node.right_col)
-        outer_key, outer_cost = self._batch_key(left_desc, node.left_col)
-        with obs_runtime.span("hash_join.build", "join_phase"):
-            table = build_hash_table(inner, inner_key)
-            count_traverse(len(inner) * inner_cost)
-        with obs_runtime.span("hash_join.probe", "join_phase"):
-            rows = probe_hash_table(table, outer, outer_key)
-            count_traverse(len(outer) * outer_cost)
+        if rows is None:
+            rows = super()._hash_join_rows(
+                node, left_desc, outer, right_desc, inner
+            )
         return rows
 
     # ------------------------------------------------------------------ #
@@ -612,27 +458,7 @@ class ParallelBatchExecutor(BatchExecutor):
             child.descriptor, node.predicate, rows
         )
         if kept is None:
-            mask = compile_predicate(
-                node.predicate, self._row_access(child.descriptor)
+            kept = next(
+                self._filter_batches(node, child.descriptor, [rows]), []
             )
-            flags = mask(rows)
-            kept = [row for row, keep in zip(rows, flags) if keep]
         return TemporaryList(child.descriptor, kept)
-
-    def _execute_join(self, node: JoinNode) -> TemporaryList:
-        if node.op == "=" and node.method == "hash":
-            left = self.execute(node.left)
-            right = self.execute(node.right)
-            outer, inner = left.rows(), right.rows()
-            rows = self._maybe_parallel_hash_join(
-                node, left.descriptor, outer, right.descriptor, inner
-            )
-            if rows is None:
-                rows = self._scalar_hash_join(
-                    node, left.descriptor, outer, right.descriptor, inner
-                )
-            descriptor = self._join_descriptor(
-                left.descriptor, right.descriptor
-            )
-            return TemporaryList(descriptor, rows)
-        return super()._execute_join(node)

@@ -43,16 +43,13 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.errors import InjectedFaultError, PoisonedMorselError
 from repro.fault import runtime as fault_runtime
 from repro.obs import runtime as obs_runtime
-from repro.query.parallel import shm, tasks
+from repro.query.parallel import tasks
 from repro.query.parallel.transport import (
     TRACE_SPANS,
     TRACE_TELEMETRY,
     trace_request,
 )
-from repro.query.vectorized.config import (
-    DEFAULT_MORSEL_SIZE,
-    DEFAULT_RETRY_ATTEMPTS,
-)
+from repro.query.vectorized.config import DEFAULT_RETRY_ATTEMPTS
 
 #: Process-wide token source for catalog registration slots.
 _token_counter = itertools.count(1)
@@ -69,8 +66,8 @@ def _wire_nbytes(message: Any) -> int:
     Packed buffers (``bytes`` anywhere in the nested tuples of the
     message: morsels, the broadcast blob) count their ``len()``; what
     is left once they are taken out — tokens, specs, predicates,
-    descriptors, counts, and the keyed results of ``hash_build`` /
-    ``hash_dedup`` — is the envelope, pickled as ``pool.submit`` would.
+    counts, and the keyed results of ``hash_build`` / ``hash_dedup`` —
+    is the envelope, pickled as ``pool.submit`` would.
     """
     buffers = 0
 
@@ -110,29 +107,19 @@ class MorselScheduler:
         self,
         catalog: Any,
         workers: int,
-        pool_mode: str = "auto",
-        morsel_size: int = DEFAULT_MORSEL_SIZE,
+        pool_mode: str = "process",
         retry_attempts: int = DEFAULT_RETRY_ATTEMPTS,
         retry_timeout: float = 0.0,
         verify_retries: Optional[bool] = None,
-        transport: str = "pickle",
         retry_backoff=None,
     ) -> None:
         self.catalog = catalog
         self.workers = int(workers)
         self.pool_mode = pool_mode
-        #: Which morsel transport the engine resolved ("pickle"|"shm");
-        #: purely descriptive here — the engine builds the payloads —
-        #: but surfaced through ``scheduler_stats()``.
-        self.transport = transport
         #: Measure per-morsel pipe bytes even without observability
         #: (benchmarks flip this; it pickles every envelope a second
         #: time, so it is not the default).
         self.measure_bytes = False
-        #: Morsel granularity for dispatchers without their own setting
-        #: (e.g. the parallel index build reaching through the runtime
-        #: slot); the engine passes its configured value through.
-        self.morsel_size = int(morsel_size)
         #: Pool runs per morsel before quarantine (first run included).
         self.retry_attempts = max(1, int(retry_attempts))
         #: Seconds to wait for one morsel result; 0 waits forever.
@@ -172,8 +159,7 @@ class MorselScheduler:
             "quarantined_morsels": 0,
             "verified_retries": 0,
             # Pipe traffic, measured only when observability is active
-            # or ``measure_bytes`` is set: what crossed the pool pipe —
-            # descriptors in shm mode, packed morsels in pickle mode.
+            # or ``measure_bytes`` is set: what crossed the pool pipe.
             "dispatch_bytes": 0,
             "result_bytes": 0,
         }
@@ -357,7 +343,6 @@ class MorselScheduler:
             "retries": {},
             "quarantined": set(),
             "payload_bytes": {},
-            "transport": {},
         }
         mode = self._trace_mode()
         measure = bool(mode) or self.measure_bytes
@@ -371,18 +356,10 @@ class MorselScheduler:
                 self.stats["process_runs"] += 1
         if results is None:
             self.stats["inline_runs"] += 1
-            results = []
-            try:
-                for index, payload in enumerate(payloads):
-                    results.append(
-                        self._run_inline_one(kind, index, payload, mode=mode)
-                    )
-            except BaseException:
-                # A poisoned morsel aborts the query; packed result
-                # segments already gathered were ownership-transferred
-                # to this coordinator and must not outlive it.
-                self._reap_packed(results)
-                raise
+            results = [
+                self._run_inline_one(kind, index, payload, mode=mode)
+                for index, payload in enumerate(payloads)
+            ]
         if measure:
             self._measure_results(results)
         if mode:
@@ -393,17 +370,6 @@ class MorselScheduler:
     # pipe-byte accounting
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _payload_transport(payload: Any) -> str:
-        """"shm" for a wrapped shm-protocol payload, else "pickle"."""
-        if (
-            type(payload) is tuple
-            and len(payload) == 3
-            and payload[0] == shm.REQUEST_TAG
-        ):
-            return "shm"
-        return "pickle"
-
     def _measure_dispatch(
         self, kind: str, payloads: List[tuple]
     ) -> None:
@@ -411,25 +377,15 @@ class MorselScheduler:
 
         Per request: the ``len()`` of every packed buffer it carries
         plus its pickled envelope (see :func:`_wire_nbytes`) — the
-        pipe cost without pickling the rows a second time.  In shm mode
-        descriptors are all envelope and the packed rows never appear
-        here — which is the entire point of that carrier.
+        pipe cost without pickling the rows a second time.
         """
         last_run = self.last_run or {}
         per_morsel = last_run.setdefault("payload_bytes", {})
-        labels = last_run.setdefault("transport", {})
         for index, payload in enumerate(payloads):
             nbytes = _wire_nbytes((kind, payload))
-            label = self._payload_transport(payload)
             per_morsel[index] = nbytes
-            labels[index] = label
             self.stats["dispatch_bytes"] += nbytes
-            _metric(
-                "transport_bytes_total",
-                nbytes,
-                path="dispatch",
-                transport=label,
-            )
+            _metric("transport_bytes_total", nbytes, path="dispatch")
 
     def _measure_results(
         self, results: List[Tuple[Any, tuple]]
@@ -439,15 +395,9 @@ class MorselScheduler:
         per_morsel = last_run.setdefault("payload_bytes", {})
         for index, item in enumerate(results):
             nbytes = _wire_nbytes(tuple(item[:2]))
-            label = "shm" if shm.is_rows(item[0]) else "pickle"
             per_morsel[index] = per_morsel.get(index, 0) + nbytes
             self.stats["result_bytes"] += nbytes
-            _metric(
-                "transport_bytes_total",
-                nbytes,
-                path="result",
-                transport=label,
-            )
+            _metric("transport_bytes_total", nbytes, path="result")
 
     # ------------------------------------------------------------------ #
     # telemetry absorption
@@ -658,31 +608,17 @@ class MorselScheduler:
                     # Nothing left to retry; don't leave a broken pool
                     # for the next run to trip over.
                     self._discard_pool()
-        try:
-            for index in quarantined:
-                self.stats["quarantined_morsels"] += 1
-                if self.last_run is not None:
-                    self.last_run["quarantined"].add(index)
-                _metric("quarantined_morsels_total", kind=kind)
-                results[index] = self._run_inline_one(
-                    kind, index, payloads[index], budget=1, mode=mode
-                )
-            if retried_ok and self._verify_retries_active():
-                self._verify_retried(kind, payloads, results, retried_ok)
-        except BaseException:
-            # Poisoning (or a failed retry verification) aborts the
-            # query; reap the packed result segments that were already
-            # transferred to this coordinator.
-            self._reap_packed(results)
-            raise
+        for index in quarantined:
+            self.stats["quarantined_morsels"] += 1
+            if self.last_run is not None:
+                self.last_run["quarantined"].add(index)
+            _metric("quarantined_morsels_total", kind=kind)
+            results[index] = self._run_inline_one(
+                kind, index, payloads[index], budget=1, mode=mode
+            )
+        if retried_ok and self._verify_retries_active():
+            self._verify_retried(kind, payloads, results, retried_ok)
         return results
-
-    @staticmethod
-    def _reap_packed(results) -> None:
-        """Unlink every packed result segment in a doomed result set."""
-        for item in results:
-            if item is not None and shm.is_rows(item[0]):
-                shm.arena().unlink(item[0][1])
 
     @staticmethod
     def _broken_pool_error(exc: BaseException) -> bool:
@@ -709,30 +645,8 @@ class MorselScheduler:
             replay = tasks.run_task((kind, payloads[index]))
             # Compare only (result, packed_counts) — a traced result
             # carries a trailing telemetry tuple whose wall-clock
-            # fields are never bit-stable.  Packed results compare by
-            # *content*: a replay packs into a fresh segment, so the
-            # descriptors legitimately differ while the rows must not.
-            # The original's segment is read without unlinking (the
-            # engine still decodes it); the replay's is reclaimed here.
-            original = tuple(results[index][:2])
-            if shm.is_rows(original[0]) or shm.is_rows(replay[0]):
-                original_rows = (
-                    shm.read_rows(original[0], unlink=False)
-                    if shm.is_rows(original[0])
-                    else original[0]
-                )
-                replay_rows = (
-                    shm.read_rows(replay[0], unlink=True)
-                    if shm.is_rows(replay[0])
-                    else replay[0]
-                )
-                identical = (
-                    replay_rows == original_rows
-                    and replay[1] == original[1]
-                )
-            else:
-                identical = replay == original
-            if not identical:
+            # fields are never bit-stable.
+            if replay != tuple(results[index][:2]):
                 raise AssertionError(
                     f"retried morsel {index} of {kind!r} diverged from "
                     f"its inline replay — the counter-merge determinism "

@@ -23,10 +23,9 @@ import os
 import pickle
 import time
 from collections import OrderedDict
-from itertools import compress, islice
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import compress
+from typing import Any, Dict, Optional, Tuple
 
-from repro.fault import runtime as fault_runtime
 from repro.instrument import (
     count_hash,
     count_move,
@@ -35,14 +34,12 @@ from repro.instrument import (
 )
 from repro.instrument.counters import OpCounters
 from repro.query.executor import filter_column_resolver
-from repro.query.parallel import shm
 from repro.query.parallel.transport import (
     TRACE_SPANS,
     decode_refs,
     decode_rows,
     encode_refs,
     encode_rows,
-    packed_len,
     rebuild,
 )
 from repro.query.plan import REF_COLUMN
@@ -58,18 +55,14 @@ from repro.query.vectorized.deref import (
 _CATALOGS: Dict[int, Any] = {}
 
 #: Decoded probe-table cache, worker-process-local: the same build-side
-#: blob is shipped (or broadcast by segment name) with every probe
-#: morsel of one join; decoding it once per worker instead of once per
-#: morsel keeps the probe hot loop tight.  Bounded LRU: blob ids grow
-#: monotonically across statements, so without eviction a long-lived
-#: worker would pin every probe table it ever decoded.
+#: blob is shipped with every probe morsel of one join; decoding it once
+#: per worker instead of once per morsel keeps the probe hot loop tight.
+#: Bounded LRU: blob ids grow monotonically across statements, so
+#: without eviction a long-lived worker would pin every probe table it
+#: ever decoded.
 _TABLE_CACHE: "OrderedDict[Tuple[int, int], dict]" = OrderedDict()
 _TABLE_CACHE_LIMIT = 4
 _TABLE_CACHE_EVICTIONS = 0
-
-#: Worker-process-local attach cache for dispatch-slice segments (all
-#: morsels of one operator name the same segment).
-_SEGMENTS = shm.SegmentCache()
 
 
 def _cache_table(cache_key: Tuple[int, int], groups: dict) -> None:
@@ -240,22 +233,15 @@ def _hash_build(payload) -> dict:
 def _hash_probe(payload) -> tuple:
     """Probe one outer morsel against the broadcast build table.
 
-    ``blob`` is either the pickled build table itself (pickle
-    transport) or an ``shm:blob`` descriptor naming the segment it was
-    broadcast through; either way the *decoded* table is cached by
-    ``(token, table_id)``, so a cache hit never touches the blob — or
-    the segment — at all.  Returns the joined rows packed.
+    ``blob`` is the pickled build table; the *decoded* table is cached
+    by ``(token, table_id)``, so a cache hit never unpickles it again.
+    Returns the joined rows packed.
     """
     token, spec, column, table_id, blob, packed = payload
     descriptor = rebuild(_CATALOGS[token], spec)
     cache_key = (token, table_id)
     groups = _TABLE_CACHE.get(cache_key)
     if groups is None:
-        if shm.is_blob(blob):
-            fault_runtime.fire(
-                "pool.shm", path="broadcast", segment=blob[1]
-            )
-            blob = shm.read_blob(blob)
         groups = pickle.loads(blob)
         _cache_table(cache_key, groups)
     else:
@@ -285,35 +271,6 @@ def _hash_dedup(payload) -> list:
     return local_dedup(rows, keys)
 
 
-def _extract_keys(payload) -> list:
-    """Index-build key prefetch over one ``_all_refs`` slice.
-
-    Purely physical work — the cost model charges key extraction at the
-    point of *logical* access, during the coordinator's insert loop —
-    so everything here runs uncharged.
-    """
-    token, relation_name, field_spec, start, stop = payload
-    relation = _CATALOGS[token].relation(relation_name)
-    with counters_scope():
-        refs = list(islice(relation._all_refs(), start, stop))
-        schema = relation.physical_schema
-        if isinstance(field_spec, (list, tuple)):
-            positions = [schema.position(name) for name in field_spec]
-
-            def read_key(ref):
-                part, slot = relation._locate(ref)
-                return tuple(part.read_field(slot, p) for p in positions)
-
-        else:
-            position = schema.position(field_spec)
-
-            def read_key(ref):
-                part, slot = relation._locate(ref)
-                return part.read_field(slot, position)
-
-        return [read_key(ref) for ref in refs]
-
-
 # --------------------------------------------------------------------- #
 # injected worker failures (scheduler-side fault decisions)
 # --------------------------------------------------------------------- #
@@ -339,8 +296,6 @@ def worker_exit(request: Tuple[str, tuple]) -> None:
     kill; the pool notices the lost process and breaks every outstanding
     future, which is the scheduler's cue to re-fork.
     """
-    import os
-
     os._exit(1)
 
 
@@ -350,66 +305,7 @@ _HANDLERS = {
     "hash_build": _hash_build,
     "hash_probe": _hash_probe,
     "hash_dedup": _hash_dedup,
-    "extract_keys": _extract_keys,
 }
-
-#: Task kinds whose result is one packed morsel, which the shm carrier
-#: can move into a segment.  The others (``hash_build`` dict groups,
-#: ``hash_dedup`` arbitrary-key pairs, ``extract_keys`` raw values)
-#: always return through the pickle pipe.
-_PACKED_RESULTS = frozenset(("scan_filter", "filter_rows", "hash_probe"))
-
-
-def _resolve_element(value: Any) -> Any:
-    """Materialize one payload element if it is a dispatch slice.
-
-    The attach is served by the worker-local :data:`_SEGMENTS` LRU (one
-    ``shm_open``+``mmap`` per worker per operator, not per morsel); the
-    ``pool.shm`` fault point fires first so chaos runs can fail the
-    attach/unpack path and exercise the scheduler's retry/quarantine
-    healing on this transport.
-    """
-    if not shm.is_slice(value):
-        return value
-    fault_runtime.fire("pool.shm", path="dispatch", segment=value[1])
-    segment = _SEGMENTS.get(value[1])
-    return shm.read_slice(value, segment)
-
-
-def _unwrap_request(payload: tuple) -> Tuple[tuple, Optional[int]]:
-    """Strip the shm request wrapper, materializing dispatch slices.
-
-    Pickle-transport payloads pass through untouched (``None``
-    threshold); an ``shm:req`` wrapper yields the inner payload with
-    every slice descriptor replaced by the packed morsel it names, plus
-    the result threshold the coordinator asked for.
-    """
-    if (
-        type(payload) is tuple
-        and len(payload) == 3
-        and payload[0] == shm.REQUEST_TAG
-    ):
-        __, threshold, inner = payload
-        return tuple(_resolve_element(el) for el in inner), threshold
-    return payload, None
-
-
-def _pack_result(kind: str, result: Any, threshold: int) -> Any:
-    """Move a large packed result into a transferred segment.
-
-    Small results (and kinds whose result is not a packed morsel)
-    return as-is through the pickle pipe; moved ones return an
-    ``shm:rows`` descriptor whose segment the coordinator owns — and
-    unlinks — from here on.  Pure transport: no Section 3.1 charges.
-    """
-    if (
-        kind not in _PACKED_RESULTS
-        or packed_len(result) < threshold
-        or not shm.available()
-    ):
-        return result
-    return shm.write_rows(result, transfer=True)
-
 
 def run_task(request: Tuple[str, tuple]) -> Tuple[Any, Tuple[int, ...]]:
     """Run one morsel task in an isolated counter scope.
@@ -431,11 +327,8 @@ def run_task(request: Tuple[str, tuple]) -> Tuple[Any, Tuple[int, ...]]:
     """
     if len(request) == 2:
         kind, payload = request
-        payload, threshold = _unwrap_request(payload)
         with counters_scope() as scope:
             result = _HANDLERS[kind](payload)
-        if threshold is not None:
-            result = _pack_result(kind, result, threshold)
         return result, pack_counts(scope)
     kind, payload, ctx = request
     return _run_traced(kind, payload, ctx)
@@ -462,7 +355,6 @@ def _run_traced(
 
     mode, index, dispatched_at = ctx
     queue_wait = max(0.0, time.monotonic() - dispatched_at)
-    payload, threshold = _unwrap_request(payload)
     local = Observability(
         ObservabilityConfig(
             tracing=mode >= TRACE_SPANS,
@@ -491,8 +383,6 @@ def _run_traced(
         else:
             obs_runtime.activate(previous)
     elapsed = time.perf_counter() - started
-    if threshold is not None:
-        result = _pack_result(kind, result, threshold)
     hits, misses = _deref_tallies(local)
     span_dict: Optional[dict] = None
     if local.tracer is not None:

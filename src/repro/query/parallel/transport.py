@@ -8,12 +8,10 @@ pointers travel as what they are — one machine word each
 an ``array('q')``.  Unpacking yields tuples of plain ``int``\\ s, which
 every extractor, compiled predicate and hash kernel takes unchanged
 (pointer sites split the word with a shift and a mask; nothing on the
-wire ever rebuilds a :class:`~repro.storage.tuples.TupleRef`).  The
-same packed value is what :mod:`~repro.query.parallel.shm` carries in
-a segment — one layout, two carriers (DESIGN.md section 3.16).  Result
-descriptors travel as specs: the source relation names plus the
-``(source, field, label)`` column triples, rebuilt worker-side against
-the same catalog.
+wire ever rebuilds a :class:`~repro.storage.tuples.TupleRef`; DESIGN.md
+section 3.16).  Result descriptors travel as specs: the source relation
+names plus the ``(source, field, label)`` column triples, rebuilt
+worker-side against the same catalog.
 
 Only *plain* predicates cross the boundary: trees of the frozen
 ``Comparison`` / ``Conjunction`` / ``Disjunction`` dataclasses over

@@ -8,7 +8,6 @@ behaviour is unchanged unless a caller opts in.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,26 +29,11 @@ DEFAULT_MORSEL_SIZE = 4096
 #: Recognised engine names.
 ENGINES = ("tuple", "batch")
 
-#: Recognised worker-pool modes.  ``auto`` uses a fork-based process
-#: pool when the platform supports it and falls back to the in-process
-#: executor otherwise; ``process`` / ``inline`` force one or the other
-#: (``inline`` is the deterministic fallback for tests and
-#: Windows-free CI).
-POOL_MODES = ("auto", "process", "inline")
-
-#: Recognised morsel-transport names.  ``pickle`` is the classic pool
-#: pipe (payloads pickled whole); ``shm`` packs pointer rows into named
-#: shared-memory segments and ships only tiny descriptors through the
-#: pipe (DESIGN.md section 3.13).  The default comes from the
-#: ``REPRO_TRANSPORT`` environment variable, falling back to
-#: ``pickle``, whose wire format is byte-identical to before the shm
-#: transport existed.
-TRANSPORTS = ("pickle", "shm")
-
-#: Minimum encoded rows in one payload before the shm transport bothers
-#: with a segment; smaller payloads ride the pickle pipe where the
-#: fixed shm_open/mmap cost would dominate.
-DEFAULT_SHM_THRESHOLD = 1024
+#: Recognised worker-pool modes.  ``process`` (the default) uses a
+#: fork-based process pool, falling back to the in-process executor
+#: where the platform cannot fork; ``inline`` always runs in-process
+#: (the deterministic mode for tests and CI).
+POOL_MODES = ("process", "inline")
 
 #: Run attempts per morsel before it is quarantined to the inline
 #: executor: the first run plus one retry.  Enough to absorb any single
@@ -79,24 +63,15 @@ class ExecutionConfig:
     from the pool — 0 waits forever.  ``retry_backoff`` (a
     :class:`~repro.fault.BackoffPolicy`) paces re-dispatch between
     retry rounds; ``None`` — the default — retries immediately.
-
-    ``transport`` picks how morsel payloads cross the process boundary
-    (see :data:`TRANSPORTS`); ``None`` resolves to ``REPRO_TRANSPORT``
-    or ``"pickle"`` at construction, so the resolved config always
-    carries a concrete name.  ``shm_threshold_rows`` is the minimum
-    encoded-row count before the shm transport packs a payload into a
-    segment; below it, payloads ride the pickle pipe even in shm mode.
     """
 
     engine: str = "tuple"
     batch_size: int = DEFAULT_BATCH_SIZE
     workers: int = 1
     morsel_size: int = DEFAULT_MORSEL_SIZE
-    pool: str = "auto"
+    pool: str = "process"
     retry_attempts: int = DEFAULT_RETRY_ATTEMPTS
     retry_timeout: float = 0.0
-    transport: Optional[str] = None
-    shm_threshold_rows: int = DEFAULT_SHM_THRESHOLD
     retry_backoff: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -150,21 +125,6 @@ class ExecutionConfig:
             raise ConfigError(
                 f"retry_timeout must be a non-negative number, "
                 f"got {self.retry_timeout!r}"
-            )
-        if self.transport is None:
-            resolved = os.environ.get("REPRO_TRANSPORT", "pickle")
-            object.__setattr__(self, "transport", resolved)
-        if self.transport not in TRANSPORTS:
-            raise ConfigError(
-                f"unknown transport {self.transport!r}; "
-                f"choose one of {TRANSPORTS}"
-            )
-        if not isinstance(self.shm_threshold_rows, int) or isinstance(
-            self.shm_threshold_rows, bool
-        ) or self.shm_threshold_rows < 1:
-            raise ConfigError(
-                f"shm_threshold_rows must be a positive integer, "
-                f"got {self.shm_threshold_rows!r}"
             )
         if self.retry_backoff is not None:
             from repro.fault.backoff import BackoffPolicy

@@ -194,18 +194,7 @@ class BatchExecutor(Executor):
         self, node: FilterNode
     ) -> Tuple[ResultDescriptor, Batches]:
         descriptor, batches = self._stream(node.child)
-        mask = compile_predicate(
-            node.predicate, self._row_access(descriptor)
-        )
-
-        def generate() -> Batches:
-            for batch in batches:
-                flags = mask(batch)
-                kept = [row for row, keep in zip(batch, flags) if keep]
-                if kept:
-                    yield kept
-
-        return descriptor, generate()
+        return descriptor, self._filter_batches(node, descriptor, batches)
 
     def _stream_project(
         self, node: ProjectNode
@@ -256,6 +245,47 @@ class BatchExecutor(Executor):
     # ------------------------------------------------------------------ #
     # shared batch operators (used by both modes)
     # ------------------------------------------------------------------ #
+
+    def _filter_batches(
+        self, node: FilterNode, descriptor: ResultDescriptor, batches
+    ) -> Batches:
+        """The rows of ``batches`` that satisfy ``node.predicate``.
+
+        One compiled mask (one dereference memo) over every batch;
+        empty output batches are dropped.
+        """
+        mask = compile_predicate(
+            node.predicate, self._row_access(descriptor)
+        )
+
+        def generate() -> Batches:
+            for batch in batches:
+                flags = mask(batch)
+                kept = [row for row, keep in zip(batch, flags) if keep]
+                if kept:
+                    yield kept
+
+        return generate()
+
+    def _hash_join_rows(
+        self,
+        node: JoinNode,
+        left_desc: ResultDescriptor,
+        outer: List[Row],
+        right_desc: ResultDescriptor,
+        inner: List[Row],
+    ) -> List[Row]:
+        """Hash equi-join of materialised inputs: build ``inner``,
+        probe with ``outer``."""
+        inner_key, inner_cost = self._batch_key(right_desc, node.right_col)
+        outer_key, outer_cost = self._batch_key(left_desc, node.left_col)
+        with obs_runtime.span("hash_join.build", "join_phase"):
+            table = build_hash_table(inner, inner_key)
+            count_traverse(len(inner) * inner_cost)
+        with obs_runtime.span("hash_join.probe", "join_phase"):
+            rows = probe_hash_table(table, outer, outer_key)
+            count_traverse(len(outer) * outer_cost)
+        return rows
 
     def _row_access(self, descriptor: ResultDescriptor) -> RowFieldAccess:
         return RowFieldAccess(
@@ -340,12 +370,10 @@ class BatchExecutor(Executor):
 
     def _execute_filter(self, node: FilterNode) -> TemporaryList:
         child = self.execute(node.child)
-        mask = compile_predicate(
-            node.predicate, self._row_access(child.descriptor)
+        # One input batch: at most one (non-empty) output batch.
+        kept = next(
+            self._filter_batches(node, child.descriptor, [child.rows()]), []
         )
-        rows = child.rows()
-        flags = mask(rows)
-        kept = [row for row, keep in zip(rows, flags) if keep]
         return TemporaryList(child.descriptor, kept)
 
     def _execute_project(self, node: ProjectNode) -> TemporaryList:
@@ -362,18 +390,10 @@ class BatchExecutor(Executor):
         if node.op == "=" and node.method == "hash":
             left = self.execute(node.left)
             right = self.execute(node.right)
-            inner_key, inner_cost = self._batch_key(
-                right.descriptor, node.right_col
+            rows = self._hash_join_rows(
+                node, left.descriptor, left.rows(),
+                right.descriptor, right.rows(),
             )
-            outer_key, outer_cost = self._batch_key(
-                left.descriptor, node.left_col
-            )
-            with obs_runtime.span("hash_join.build", "join_phase"):
-                table = build_hash_table(right.rows(), inner_key)
-                count_traverse(len(right.rows()) * inner_cost)
-            with obs_runtime.span("hash_join.probe", "join_phase"):
-                rows = probe_hash_table(table, left.rows(), outer_key)
-                count_traverse(len(left.rows()) * outer_cost)
             descriptor = self._join_descriptor(
                 left.descriptor, right.descriptor
             )

@@ -258,7 +258,6 @@ class Relation:
         field_name: Any,
         kind: str = "ttree",
         unique: bool = False,
-        parallel: bool = False,
         **index_options: Any,
     ) -> Index:
         """Create and register an index over one field or several.
@@ -272,14 +271,6 @@ class Relation:
         need less in the way of special mechanisms" (Section 2.2); the
         key is simply the tuple of field values.  Existing tuples are
         bulk-loaded into the new index.
-
-        ``parallel=True`` prefetches every key through the morsel pool
-        (when ``db.configure_execution(..., workers=N)`` installed one;
-        in-process otherwise) and bulk-loads through the prefetch memo:
-        identical structure and identical Section 3.1 counter totals to
-        the sequential build — the insert loop still charges one logical
-        traversal per key extraction — with the avoided physical
-        dereferences tallied under ``deref_saved_traversals``.
         """
         if index_name in self._indexes:
             raise SchemaError(
@@ -304,16 +295,8 @@ class Relation:
             **index_options,
         )
         index.field_name = label
-        if parallel:
-            # Deferred import: the storage layer must not depend on the
-            # query engine at import time (the slot pattern of
-            # repro.query.parallel.runtime keeps the layering acyclic).
-            from repro.query.parallel.build import bulk_load_parallel
-
-            bulk_load_parallel(self, index, label, extractor)
-        else:
-            for ref in self._all_refs():
-                index.insert(ref)
+        for ref in self._all_refs():
+            index.insert(ref)
         self._indexes[index_name] = index
         self._indexes_changed()  # new access path
         return index

@@ -1,10 +1,11 @@
-"""Plan cache behaviour: LRU mechanics, normalization, hits, evictions."""
+"""Plan cache behaviour: LRU mechanics, statement keys, hits, evictions."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cache import CacheConfig, LRUCache, normalize_sql
+from repro.cache import CacheConfig, LRUCache
+from repro.sql.template import lift
 from tests.conftest import build_figure1_db
 
 
@@ -47,22 +48,22 @@ class TestLRUCache:
 
 
 class TestNormalization:
+    """The plan cache is keyed on the statement template's lift: the
+    text key plus the lifted literals."""
+
     def test_whitespace_and_semicolon_collapse(self):
-        assert (
-            normalize_sql("  SELECT *   FROM Employee ; ")
-            == normalize_sql("SELECT * FROM Employee")
+        assert lift("  SELECT *   FROM Employee ; ") == lift(
+            "SELECT * FROM Employee"
         )
 
     def test_string_literals_keep_whitespace(self):
-        a = normalize_sql("SELECT * FROM T WHERE Name = 'a  b'")
-        b = normalize_sql("SELECT * FROM T WHERE Name = 'a b'")
+        a = lift("SELECT * FROM T WHERE Name = 'a  b'")
+        b = lift("SELECT * FROM T WHERE Name = 'a b'")
         assert a != b
 
     def test_case_is_significant(self):
         # Identifiers are case-sensitive in this dialect; the key must be.
-        assert normalize_sql("SELECT * FROM t") != normalize_sql(
-            "SELECT * FROM T"
-        )
+        assert lift("SELECT * FROM t") != lift("SELECT * FROM T")
 
 
 class TestPlanCacheHits:

@@ -154,7 +154,7 @@ class TestProcessPoolTelemetry:
         if not fork_available():
             pytest.skip("no fork start method on this platform")
         db.configure_execution(
-            engine="batch", workers=2, pool="auto", morsel_size=256
+            engine="batch", workers=2, pool="process", morsel_size=256
         )
         db.configure_observability(ObservabilityConfig())
         db.sql("SELECT id FROM t WHERE v = 3")

@@ -6,12 +6,14 @@ library's :class:`repro.errors.ReproError` root and as the plain
 ``ValueError`` older callers expect.
 """
 
+from dataclasses import fields
+
 import pytest
 
 from repro import Field, FieldType, MainMemoryDatabase
 from repro.errors import ConfigError, ReproError
 from repro.query.executor import Executor
-from repro.query.vectorized import BatchExecutor, ExecutionConfig
+from repro.query.vectorized import POOL_MODES, BatchExecutor, ExecutionConfig
 
 
 @pytest.fixture()
@@ -55,6 +57,20 @@ class TestInvalidSettings:
     def test_unknown_pool_mode(self, db):
         with pytest.raises(ConfigError, match="pool mode"):
             db.configure_execution(engine="batch", workers=2, pool="thread")
+
+    def test_auto_pool_mode_is_retired(self, db):
+        with pytest.raises(ConfigError, match=r"\('process', 'inline'\)"):
+            db.configure_execution(engine="batch", workers=2, pool="auto")
+
+    def test_transport_keywords_are_retired(self, db):
+        # The shm morsel transport and the two-phase parallel index
+        # build are gone; their settings are no longer accepted.
+        with pytest.raises(TypeError):
+            db.configure_execution(engine="batch", transport="shm")
+        with pytest.raises(TypeError):
+            ExecutionConfig(engine="batch", shm_threshold_rows=128)
+        with pytest.raises(TypeError):
+            db.catalog.relation("R").create_index("ix", "Id", parallel=True)
 
     def test_workers_require_batch_engine(self, db):
         with pytest.raises(ConfigError, match="engine='batch'"):
@@ -106,7 +122,9 @@ class TestValidSettings:
         config = ExecutionConfig()
         assert config.engine == "tuple"
         assert config.workers == 1
-        assert config.pool == "auto"
+        assert config.pool == "process"
+        assert POOL_MODES == ("process", "inline")
+        assert len(fields(ExecutionConfig)) == 8
 
 
 class TestEnvironmentDefaults:

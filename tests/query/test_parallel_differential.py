@@ -18,8 +18,7 @@ import pytest
 
 from repro import Field, FieldType, MainMemoryDatabase
 from repro.instrument import counters_scope
-from repro.query.parallel import MorselScheduler, ParallelBatchExecutor
-from repro.query.parallel import runtime as par_runtime
+from repro.query.parallel import MorselScheduler, ParallelBatchExecutor, tasks
 from repro.query.plan import (
     REF_COLUMN,
     FilterNode,
@@ -207,10 +206,12 @@ def test_process_pool_smoke(db):
 def test_workers_one_is_plain_batch_executor(db):
     """workers=1 must take the unmodified scalar batch path: no pool,
     no parallel executor, no scheduler registration."""
+    registered = set(tasks._CATALOGS)
     db.configure_execution(engine="batch", workers=1)
     try:
         assert type(db.executor) is BatchExecutor
-        assert par_runtime.active_scheduler() is None
+        assert db.scheduler_stats() is None
+        assert set(tasks._CATALOGS) <= registered
     finally:
         db.configure_execution()
     assert db.executor.engine_name == "tuple"
@@ -220,15 +221,16 @@ def test_workers_many_installs_parallel_executor(db):
     db.configure_execution(engine="batch", workers=2, pool="inline")
     try:
         assert type(db.executor) is ParallelBatchExecutor
-        assert par_runtime.active_scheduler() is db.executor.scheduler
+        token = db.executor.scheduler.token
+        assert tasks._CATALOGS[token] is db.catalog
         rows = db.sql(
             "SELECT Id, B FROM R WHERE B > 400 ORDER BY Id"
         ).to_dicts()
         assert len(rows) > 0
     finally:
         db.configure_execution()
-    # Retiring the executor releases the process-wide scheduler slot.
-    assert par_runtime.active_scheduler() is None
+    # Retiring the executor releases its catalog registration.
+    assert token not in tasks._CATALOGS
 
 
 def test_sql_differential_across_workers(db):
@@ -280,106 +282,15 @@ def test_scheduler_refork_on_version_bump():
         scheduler.close()
 
 
-# --------------------------------------------------------------------- #
-# parallel index build
-# --------------------------------------------------------------------- #
-
-
-def _fresh_db(n=600):
-    rng = random.Random(SEED + 3)
-    database = MainMemoryDatabase()
-    database.create_relation(
-        "R",
-        [
-            Field("Id", FieldType.INT),
-            Field("A", FieldType.INT),
-            Field("B", FieldType.INT),
-        ],
-        primary_key="Id",
+def test_scheduler_stats_surface(db):
+    db.configure_execution(
+        engine="batch", workers=2, pool="inline", morsel_size=MORSEL
     )
-    for i in range(n):
-        database.insert(
-            "R", [i, rng.randrange(VALUE_SPACE), rng.randrange(1_000)]
-        )
-    return database
-
-
-def _build_counts(database, name, field_spec, parallel, **options):
-    relation = database.catalog.relation("R")
-    with counters_scope() as scope:
-        relation.create_index(name, field_spec, parallel=parallel, **options)
-    counts = scope.snapshot().as_dict()
-    counts.pop(DEREF_SAVED_COUNTER, None)
-    with counters_scope():
-        entries = list(relation.indexes[name].scan())
-    return counts, entries
-
-
-@pytest.mark.parametrize("kind", ["ttree", "chained_hash"])
-def test_parallel_index_build_differential(kind):
-    database = _fresh_db()
-    seq_counts, seq_entries = _build_counts(
-        database, "seq_ix", "A", False, kind=kind
-    )
-    par_counts, par_entries = _build_counts(
-        database, "par_ix", "A", True, kind=kind
-    )
-    assert seq_counts == par_counts
-    assert sorted(seq_entries) == sorted(par_entries)
-
-
-def test_parallel_index_build_through_scheduler():
-    """With an active pool the prefetch runs on workers; counters and
-    structure still match the sequential build."""
-    database = _fresh_db()
-    seq_counts, seq_entries = _build_counts(
-        database, "seq_ix", "A", False, kind="ttree"
-    )
-    executor = ParallelBatchExecutor(
-        database.catalog, workers=2, morsel_size=100, pool="inline"
-    )
-    par_runtime.activate_scheduler(executor.scheduler)
     try:
-        par_counts, par_entries = _build_counts(
-            database, "par_ix", "A", True, kind="ttree"
-        )
+        db.sql("SELECT Id FROM R WHERE B > 400")
+        stats = db.scheduler_stats()
+        assert stats["morsels"] > 1
+        assert {"dispatch_bytes", "result_bytes", "blob_cache"} <= set(stats)
+        assert not {"transport", "shm"} & set(stats)
     finally:
-        par_runtime.deactivate_scheduler(executor.scheduler)
-        executor.close()
-    assert seq_counts == par_counts
-    assert sorted(seq_entries) == sorted(par_entries)
-    assert executor.scheduler.stats["morsels"] > 1
-
-
-def test_parallel_index_build_multi_attribute():
-    database = _fresh_db()
-    seq_counts, seq_entries = _build_counts(
-        database, "seq_ix", ["A", "B"], False, kind="ttree"
-    )
-    par_counts, par_entries = _build_counts(
-        database, "par_ix", ["A", "B"], True, kind="ttree"
-    )
-    assert seq_counts == par_counts
-    assert list(seq_entries) == list(par_entries)
-
-
-def test_parallel_index_build_unique_violation():
-    database = _fresh_db()
-    relation = database.catalog.relation("R")
-    with pytest.raises(Exception) as excinfo:
-        relation.create_index(
-            "uq_ix", "A", kind="ttree", unique=True, parallel=True
-        )
-    assert "uq_ix" not in relation.indexes or excinfo.value is not None
-
-
-def test_parallel_build_restores_normal_extractor():
-    """After the bulk load, later DML maintains the index organically."""
-    database = _fresh_db(200)
-    relation = database.catalog.relation("R")
-    relation.create_index("par_ix", "A", kind="ttree", parallel=True)
-    database.insert("R", [10_000, 7, 7])
-    with counters_scope():
-        refs = relation.indexes["par_ix"].search_all(7)
-        values = {relation.read_field(ref, "Id") for ref in refs}
-    assert 10_000 in values
+        db.configure_execution()

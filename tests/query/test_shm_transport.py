@@ -1,26 +1,23 @@
-"""The shared-memory morsel transport (DESIGN.md section 3.13).
+"""The morsel wire without shared memory (DESIGN.md section 3.13).
 
-Covers the full contract stack:
+The shm morsel transport is retired: morsels, results and broadcast
+probe tables travel on the pickle wire only, and the shm byte carrier
+serves the replication channels alone.  These tests keep the checks
+the transport's suite made that still apply, with every shm segment
+create and attach forbidden while the parallel engine runs:
 
-* the segment carries exactly the packed wire bytes (rows, slices);
-* :class:`ShmArena` lifecycle — create/unlink/transfer/drain, fork-child
-  disownment (a child must never unlink the parent's live segments);
-* the worker-side :class:`SegmentCache` and probe-table LRU bounds;
-* the determinism contract — bit-identical rows and Section 3.1 counter
-  totals across ``transport {pickle, shm}`` × ``workers {1, 2, 4}``;
-* the zero-overhead contract — the pickle wire is byte-identical
-  before, during-off, and after shm use (off/on/off);
-* threshold gating, platform fallback, ``pool.shm`` chaos healing;
-* the measured payoff — a ≥5x coordinator pipe-byte reduction on the
-  wide-probe workload — and the observability surfaces that report it.
+* the determinism differential — rows and the five Section 3.1 counter
+  totals match the batch engine at ``workers {2, 4}``;
+* a real fork pool gives the same rows and counts;
+* a packed morsel carried through the shm carrier still slices into
+  row windows;
+* worker faults on the morsel path heal through retry or poison the
+  morsel, and the retired ``pool.shm`` fault point is rejected.
 
-Every test asserts segment hygiene on the way out: the module-level
-autouse fixture fails any test that leaves an owned segment or a
-``repro-*`` entry in ``/dev/shm``.
+The ``tests/query`` autouse fixture checks segment hygiene on the way
+out of every test.
 """
 
-import os
-import pickle
 import random
 
 import pytest
@@ -29,34 +26,18 @@ from repro import Field, FieldType, MainMemoryDatabase
 from repro.errors import ConfigError, PoisonedMorselError
 from repro.fault import FaultPolicy
 from repro.instrument import counters_scope
-from repro.query.parallel import ParallelBatchExecutor, shm, tasks
-from repro.query.parallel.transport import encode_refs, encode_rows
+from repro.query.parallel import ParallelBatchExecutor, shm
+from repro.query.parallel.transport import encode_rows, slice_packed
 from repro.query.plan import FilterNode, JoinNode, ProjectNode, ScanNode
 from repro.query.predicates import gt, lt
 from repro.query.vectorized import DEREF_SAVED_COUNTER, BatchExecutor
-from repro.query.vectorized.config import ExecutionConfig
 
 SEED = 19860528
 N_R = 900
 N_S = 180
 VALUE_SPACE = 60
 MORSEL = 128
-THRESHOLD = 64  # far below the data size so every packable path packs
 WORKER_COUNTS = (2, 4)
-
-
-def _dev_shm_residue():
-    try:
-        return [f for f in os.listdir("/dev/shm") if f.startswith("repro-")]
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    yield
-    assert shm.arena().active_segments() == 0
-    assert _dev_shm_residue() == []
 
 
 @pytest.fixture(scope="module")
@@ -86,16 +67,22 @@ def db():
     return database
 
 
-def _executor(db, workers=2, transport="shm", **kwargs):
+@pytest.fixture
+def no_shm(monkeypatch):
+    """Fail any shm segment create or attach the test body makes."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the morsel wire touched shared memory")
+
+    monkeypatch.setattr(shm.ShmArena, "create", forbidden)
+    monkeypatch.setattr(shm, "attach", forbidden)
+
+
+def _executor(db, workers=2, **kwargs):
     kwargs.setdefault("morsel_size", MORSEL)
-    kwargs.setdefault("shm_threshold_rows", THRESHOLD)
     kwargs.setdefault("pool", "inline")
     return ParallelBatchExecutor(
-        db.catalog,
-        batch_size=64,
-        workers=workers,
-        transport=transport,
-        **kwargs,
+        db.catalog, batch_size=64, workers=workers, **kwargs
     )
 
 
@@ -108,173 +95,21 @@ def _run(executor, plan):
 
 
 # --------------------------------------------------------------------- #
-# arena lifecycle
+# the carrier keeps the packed layout
 # --------------------------------------------------------------------- #
 
 
 @pytest.mark.skipif(not shm.available(), reason="no shared_memory")
 class TestArenaLifecycle:
-    def test_write_read_unlink_rows(self):
-        packed = encode_rows([(i, 1 << 32 | i + 1) for i in range(50)])
-        before = shm.arena().active_segments()
-        descriptor = shm.write_rows(packed)
-        assert shm.is_rows(descriptor)
-        # One layout, two carriers: the segment holds the wire bytes
-        # themselves — 8 per pointer word, no header.
-        assert descriptor[2:] == (2, 50 * 2 * 8)
-        assert shm.arena().active_segments() == before + 1
-        assert shm.read_rows(descriptor, unlink=True) == packed
-        assert shm.arena().active_segments() == before
-
-    def test_read_without_unlink_keeps_segment(self):
-        packed = encode_refs([1])
-        descriptor = shm.write_rows(packed)
-        assert shm.read_rows(descriptor, unlink=False) == packed
-        # Still attachable by name — then reclaim it.
-        assert shm.read_rows(descriptor, unlink=True) == packed
-
-    def test_blob_round_trip(self):
-        blob = os.urandom(10_000)
-        descriptor = shm.write_blob(blob)
-        assert shm.is_blob(descriptor)
-        try:
-            assert shm.read_blob(descriptor) == blob
-        finally:
-            shm.arena().unlink(descriptor[1])
-
     def test_slice_descriptor_reads_window(self):
         rows = [(i, 2**31 + i) for i in range(100)]
-        name = shm.write_rows(encode_rows(rows))[1]
-        try:
-            segment = shm.attach(name)
-            try:
-                window = shm.shm_slice(name, 2, 10, 20)
-                assert shm.read_slice(window, segment) == encode_rows(
-                    rows[10:20]
-                )
-            finally:
-                segment.close()
-        finally:
-            shm.arena().unlink(name)
-
-    def test_transfer_moves_unlink_duty(self):
-        # A transferred descriptor is not owned by the creating arena
-        # (the receiver unlinks) — exactly the worker-result protocol.
-        descriptor = shm.write_rows(encode_refs([1, 2]), transfer=True)
+        packed = shm.read_rows(shm.write_rows(encode_rows(rows)))
         assert shm.arena().active_segments() == 0
-        assert _dev_shm_residue() != []  # alive until the reader reaps it
-        assert shm.read_rows(descriptor, unlink=True) == encode_refs([1, 2])
-        assert _dev_shm_residue() == []
-
-    def test_drain_reaps_everything_owned(self):
-        shm.write_rows(encode_refs([1]))
-        shm.write_rows(encode_refs([2]))
-        assert shm.arena().drain() >= 2
-        assert shm.arena().active_segments() == 0
-
-    def test_unlink_tolerates_missing_segment(self):
-        shm.arena().unlink("repro-never-existed-12345")
-
-    def test_forked_child_disowns_parent_segments(self):
-        # Re-fork safety: a forked child inherits the arena registry
-        # copy-on-write but must abandon it — the parent's segment has
-        # to survive any child-side drain (e.g. the child's atexit).
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork on this platform")
-        descriptor = shm.write_rows(encode_refs([7]))
-        try:
-            ctx = multiprocessing.get_context("fork")
-            queue = ctx.SimpleQueue()
-
-            def child():
-                queue.put(
-                    (shm.arena().active_segments(), shm.arena().drain())
-                )
-
-            proc = ctx.Process(target=child)
-            proc.start()
-            proc.join(30)
-            assert proc.exitcode == 0
-            assert queue.get() == (0, 0)
-            # The parent's segment survived the child's drain.
-            assert shm.read_rows(descriptor, unlink=False) == encode_refs(
-                [7]
-            )
-        finally:
-            shm.arena().unlink(descriptor[1])
+        assert slice_packed(packed, 10, 20) == encode_rows(rows[10:20])
 
 
 # --------------------------------------------------------------------- #
-# caches
-# --------------------------------------------------------------------- #
-
-
-@pytest.mark.skipif(not shm.available(), reason="no shared_memory")
-class TestSegmentCache:
-    def test_lru_eviction_and_counters(self):
-        names = [shm.write_rows(encode_refs([i]))[1] for i in range(3)]
-        cache = shm.SegmentCache(limit=2)
-        try:
-            cache.get(names[0])
-            cache.get(names[1])
-            assert cache.get(names[0]) is cache.get(names[0])  # hits
-            cache.get(names[2])  # evicts names[1] (LRU)
-            stats = cache.stats()
-            assert stats["evictions"] == 1
-            assert stats["attached"] == 2
-            assert stats["hits"] >= 2
-            assert stats["misses"] == 3
-            # names[1] re-attaches: a miss, not an error.
-            cache.get(names[1])
-            assert cache.stats()["evictions"] == 2
-        finally:
-            cache.clear()
-            for name in names:
-                shm.arena().unlink(name)
-
-
-class TestBlobCacheLRU:
-    def test_bounded_with_eviction_counter(self):
-        tasks.reset_blob_cache()
-        try:
-            limit = tasks._TABLE_CACHE_LIMIT
-            for i in range(limit + 2):
-                tasks._cache_table((0, i), {"t": i})
-            stats = tasks.blob_cache_stats()
-            assert stats["entries"] == limit
-            assert stats["evictions"] == 2
-            # Oldest entries fell out; newest survive.
-            assert (0, 0) not in tasks._TABLE_CACHE
-            assert (0, limit + 1) in tasks._TABLE_CACHE
-        finally:
-            tasks.reset_blob_cache()
-
-    def test_probe_workload_evicts_past_limit(self, db):
-        # Each hash-join statement broadcasts a fresh table_id, so more
-        # than _TABLE_CACHE_LIMIT joins must evict (this was previously
-        # unbounded growth across statements).
-        tasks.reset_blob_cache()
-        executor = _executor(db, workers=2)
-        try:
-            for lo in range(tasks._TABLE_CACHE_LIMIT + 2):
-                plan = JoinNode(
-                    ScanNode("R"),
-                    ScanNode("S", gt("A", lo)),
-                    "A",
-                    "A",
-                    "hash",
-                )
-                executor.execute(plan)
-            assert tasks.blob_cache_stats()["evictions"] >= 1
-        finally:
-            executor.close()
-            tasks.reset_blob_cache()
-
-
-# --------------------------------------------------------------------- #
-# determinism: transport x workers differential
+# determinism: workers differential, no shared memory
 # --------------------------------------------------------------------- #
 
 
@@ -295,41 +130,26 @@ def _plan_mix():
 
 
 @pytest.mark.parametrize("plan", _plan_mix(), ids=lambda p: p.explain())
-def test_transport_differential(db, plan):
+def test_transport_differential(db, plan, no_shm):
     """Rows and the five Section 3.1 counter totals are bit-identical
-    across transports and worker counts (workers=1 is the scalar
-    engine)."""
+    to the batch engine's at every worker count, with no segment
+    created or attached."""
     base_rows, base_counts = _run(
         BatchExecutor(db.catalog, batch_size=64), plan
     )
-    for transport in ("pickle", "shm"):
-        for workers in WORKER_COUNTS:
-            executor = _executor(db, workers=workers, transport=transport)
-            try:
-                rows, counts = _run(executor, plan)
-            finally:
-                executor.close()
-            assert rows == base_rows, (transport, workers)
-            assert counts == base_counts, (transport, workers)
+    for workers in WORKER_COUNTS:
+        executor = _executor(db, workers=workers)
+        try:
+            rows, counts = _run(executor, plan)
+        finally:
+            executor.close()
+        assert rows == base_rows, workers
+        assert counts == base_counts, workers
 
 
-@pytest.mark.skipif(not shm.available(), reason="no shared_memory")
-def test_shm_path_actually_packs(db):
-    """The differential is meaningless if shm never engages: a big
-    filter must create dispatch segments and packed results."""
-    executor = _executor(db, workers=2)
-    created_before = shm.arena().created_segments
-    plan = FilterNode(ScanNode("R"), gt("B", 100))
-    try:
-        rows, __ = _run(executor, plan)
-        assert rows
-        assert shm.arena().created_segments > created_before
-    finally:
-        executor.close()
-
-
-def test_process_pool_shm_smoke(db):
-    """A real fork pool over shm produces scalar-identical results."""
+def test_process_pool_shm_smoke(db, no_shm):
+    """A real fork pool produces batch-identical results; its workers
+    are forked with shm forbidden, so none of them used it either."""
     from repro.query.parallel import fork_available
 
     if not fork_available():
@@ -350,157 +170,31 @@ def test_process_pool_shm_smoke(db):
 
 
 # --------------------------------------------------------------------- #
-# zero-overhead: the pickle wire stays byte-identical (off/on/off)
+# chaos: worker faults on the probe path
 # --------------------------------------------------------------------- #
 
 
-def _pin_token(db, executor, token=424_242):
-    """Give an executor a fixed catalog token so wire captures from
-    different executor instances are comparable byte-for-byte.
-    Returns the displaced token so the caller can restore it before
-    the executor is garbage-collected (``__del__`` closes again, and a
-    second release of the *pinned* token would unregister whichever
-    later executor holds it)."""
-    original = executor.scheduler.token
-    tasks.release_catalog(original)
-    executor.scheduler.token = token
-    tasks.register_catalog(token, db.catalog)
-    return original
-
-
-def _capture_wire(db, transport):
-    executor = _executor(db, workers=2, transport=transport)
-    displaced = _pin_token(db, executor)
-    captured = []
-    original = executor.scheduler.run
-
-    def spy(kind, payloads):
-        captured.append(
-            (kind, pickle.dumps(payloads, pickle.HIGHEST_PROTOCOL))
-        )
-        return original(kind, payloads)
-
-    executor.scheduler.run = spy
-    try:
-        for plan in (
-            FilterNode(ScanNode("R"), gt("B", 300)),
-            JoinNode(ScanNode("R"), ScanNode("S"), "A", "A", "hash"),
-        ):
-            executor.execute(plan)
-    finally:
-        executor.close()
-        executor.scheduler.token = displaced  # de-pin for __del__
-    return captured
-
-
-def test_pickle_wire_byte_identical_off_on_off(db):
-    before = _capture_wire(db, "pickle")
-    during = _capture_wire(db, "shm")  # exercises shm in between
-    after = _capture_wire(db, "pickle")
-    assert before == after  # byte-identical, not merely equal rows
-    assert all(
-        shm.REQUEST_TAG not in repr(payload) for __, payload in before
-    )
-    # ... and the shm run really did use the wrapper protocol.
-    assert any(
-        pickle.loads(payload)[0][0] == shm.REQUEST_TAG
-        for __, payload in during
-    )
-
-
-# --------------------------------------------------------------------- #
-# gating and fallback
-# --------------------------------------------------------------------- #
-
-
-class TestGating:
-    def test_below_threshold_creates_no_segments(self, db):
-        executor = _executor(
-            db, workers=2, shm_threshold_rows=10 * N_R
-        )
-        created_before = shm.arena().created_segments
-        try:
-            rows, __ = _run(
-                executor, FilterNode(ScanNode("R"), gt("B", 100))
-            )
-            assert rows
-            assert shm.arena().created_segments == created_before
-        finally:
-            executor.close()
-
-    def test_unavailable_platform_falls_back_loudly(self, db, monkeypatch):
-        monkeypatch.setattr(shm, "shared_memory", None)
-        assert not shm.available()
-        with pytest.warns(RuntimeWarning, match="shared_memory unavailable"):
-            executor = _executor(db, workers=2, transport="shm")
-        try:
-            assert executor.transport == "pickle"
-            assert executor.transport_fallback is not None
-            base_rows, __ = _run(
-                BatchExecutor(db.catalog, batch_size=64),
-                ScanNode("R", gt("A", 20)),
-            )
-            rows, __ = _run(executor, ScanNode("R", gt("A", 20)))
-            assert rows == base_rows
-        finally:
-            executor.close()
-
-    def test_config_validates_transport(self):
-        with pytest.raises(ConfigError):
-            ExecutionConfig(engine="batch", transport="carrier-pigeon")
-        with pytest.raises(ConfigError):
-            ExecutionConfig(engine="batch", shm_threshold_rows=0)
-
-    def test_env_default_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
-        assert ExecutionConfig().transport == "pickle"
-        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
-        assert ExecutionConfig().transport == "shm"
-        # Explicit settings beat the environment.
-        assert ExecutionConfig(transport="pickle").transport == "pickle"
-
-    def test_configure_execution_keywords(self, db):
-        db2 = MainMemoryDatabase()
-        db2.create_relation(
-            "T",
-            [Field("Id", FieldType.INT), Field("V", FieldType.INT)],
-            primary_key="Id",
-        )
-        db2.configure_execution(
-            engine="batch",
-            workers=2,
-            pool="inline",
-            transport="shm",
-            shm_threshold_rows=128,
-        )
-        try:
-            assert db2.executor.transport == "shm"
-            assert db2.executor.shm_threshold_rows == 128
-            assert db2.scheduler_stats()["transport"] == "shm"
-        finally:
-            db2.configure_execution()
-
-
-# --------------------------------------------------------------------- #
-# chaos: the pool.shm fault point
-# --------------------------------------------------------------------- #
+PROBE_PLAN = JoinNode(ScanNode("R"), ScanNode("S"), "A", "A", "hash")
 
 
 class TestShmFaults:
-    def test_attach_fault_heals_through_retry(self, db):
+    def test_attach_fault_heals_through_retry(self, db, no_shm):
+        # The worker-side read of a broadcast probe table was where
+        # pool.shm fired; that point is gone with the transport.
+        with pytest.raises(ConfigError, match="unknown fault point"):
+            db.configure_faults(
+                seed=3, policies=[FaultPolicy("pool.shm", "error")]
+            )
         db.configure_faults(
             seed=3,
-            policies=[FaultPolicy("pool.shm", "error", max_fires=1)],
+            policies=[FaultPolicy("pool.worker", "error", max_fires=1)],
         )
         executor = _executor(db, workers=2)
         try:
             base_rows, base_counts = _run(
-                BatchExecutor(db.catalog, batch_size=64),
-                FilterNode(ScanNode("R"), gt("B", 200)),
+                BatchExecutor(db.catalog, batch_size=64), PROBE_PLAN
             )
-            rows, counts = _run(
-                executor, FilterNode(ScanNode("R"), gt("B", 200))
-            )
+            rows, counts = _run(executor, PROBE_PLAN)
             assert rows == base_rows
             assert counts == base_counts
             assert executor.scheduler.stats["morsel_retries"] >= 1
@@ -508,131 +202,14 @@ class TestShmFaults:
             executor.close()
             db.configure_faults()
 
-    def test_persistent_fault_poisons_the_morsel(self, db):
+    def test_persistent_fault_poisons_the_morsel(self, db, no_shm):
         db.configure_faults(
-            seed=3, policies=[FaultPolicy("pool.shm", "error")]
+            seed=3, policies=[FaultPolicy("pool.worker", "error")]
         )
         executor = _executor(db, workers=2)
         try:
             with pytest.raises(PoisonedMorselError):
-                executor.execute(FilterNode(ScanNode("R"), gt("B", 200)))
-            # The doomed run reaped its packed result segments; the
-            # autouse fixture verifies /dev/shm hygiene on the way out.
+                executor.execute(PROBE_PLAN)
         finally:
             executor.close()
             db.configure_faults()
-
-
-# --------------------------------------------------------------------- #
-# the payoff: measured pipe-byte reduction, and its surfaces
-# --------------------------------------------------------------------- #
-
-
-@pytest.fixture(scope="module")
-def wide_db():
-    # The bench workload in miniature: a high fan-out probe whose
-    # joined rows dwarf the fixed per-morsel payload overhead.
-    rng = random.Random(SEED + 1)
-    database = MainMemoryDatabase()
-    database.create_relation(
-        "R2",
-        [Field("Id", FieldType.INT), Field("A", FieldType.INT)],
-        primary_key="Id",
-    )
-    database.create_relation(
-        "S2",
-        [Field("Id", FieldType.INT), Field("A", FieldType.INT)],
-        primary_key="Id",
-    )
-    for i in range(3000):
-        database.insert("R2", [i, rng.randrange(20)])
-    for i in range(200):
-        database.insert("S2", [i, rng.randrange(20)])
-    return database
-
-
-def _wide_probe_bytes(wide_db, transport):
-    executor = _executor(wide_db, workers=2, transport=transport,
-                         morsel_size=256)
-    executor.scheduler.measure_bytes = True
-    plan = JoinNode(ScanNode("R2"), ScanNode("S2"), "A", "A", "hash")
-    try:
-        rows, __ = _run(executor, plan)
-        stats = executor.scheduler.stats
-        return rows, stats["dispatch_bytes"] + stats["result_bytes"]
-    finally:
-        executor.close()
-
-
-@pytest.mark.skipif(not shm.available(), reason="no shared_memory")
-def test_wide_probe_pipe_bytes_reduced_5x(wide_db):
-    pickle_rows, pickle_bytes = _wide_probe_bytes(wide_db, "pickle")
-    shm_rows, shm_bytes = _wide_probe_bytes(wide_db, "shm")
-    assert shm_rows == pickle_rows
-    assert pickle_bytes >= 5 * shm_bytes, (pickle_bytes, shm_bytes)
-
-
-@pytest.mark.skipif(not shm.available(), reason="no shared_memory")
-def test_transport_metrics_and_span_annotations(db):
-    from repro.obs import runtime as obs_runtime
-
-    db.configure_observability()
-    executor = _executor(db, workers=2)
-    try:
-        executor.execute(
-            JoinNode(ScanNode("R"), ScanNode("S"), "A", "A", "hash")
-        )
-        metrics = db.observability.metrics
-        assert (
-            metrics.counter(
-                "transport_bytes_total", path="dispatch", transport="shm"
-            ).value
-            > 0
-        )
-        assert (
-            metrics.counter(
-                "transport_bytes_total", path="result", transport="shm"
-            ).value
-            > 0
-        )
-        # All segments are reclaimed by the time the run finishes.
-        assert metrics.gauge("shm_segments_active").value == 0
-
-        def morsel_spans(span):
-            found = []
-            if span.attrs.get("transport") is not None:
-                found.append(span)
-            for child in span.children:
-                found.extend(morsel_spans(child))
-            return found
-
-        annotated = morsel_spans(db.observability.tracer.last())
-        assert annotated
-        assert all(
-            span.attrs["payload_bytes"] > 0 for span in annotated
-        )
-        assert {span.attrs["transport"] for span in annotated} == {"shm"}
-    finally:
-        executor.close()
-        obs_runtime.deactivate()
-        db.observability = None
-
-
-def test_scheduler_stats_surface(db):
-    db.configure_execution(
-        engine="batch",
-        workers=2,
-        pool="inline",
-        morsel_size=MORSEL,
-        transport="shm",
-        shm_threshold_rows=THRESHOLD,
-    )
-    try:
-        db.sql("SELECT Id FROM R WHERE B > 400")
-        stats = db.scheduler_stats()
-        assert stats["transport"] == "shm"
-        assert stats["shm"]["segments_active"] == 0
-        assert "blob_cache" in stats
-        assert {"dispatch_bytes", "result_bytes"} <= set(stats)
-    finally:
-        db.configure_execution()

@@ -8,6 +8,7 @@ trees on the plain-predicate gate, and the catalog-identity check in
 ``describable()`` — which must reject a descriptor whose source merely
 *shares a name* with a catalog relation without being the same object
 (a forked worker would silently resolve the name to different data).
+Also the workers' bounded decoded-probe-table cache.
 """
 
 from array import array
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro import Field, FieldType, MainMemoryDatabase
 from repro.instrument import counters_scope
-from repro.query.parallel import ParallelBatchExecutor, fork_available
+from repro.obs import ObservabilityConfig
+from repro.query.parallel import ParallelBatchExecutor, fork_available, tasks
 from repro.query.parallel.transport import (
     decode_refs,
     decode_rows,
@@ -303,18 +305,14 @@ def pointer_births(monkeypatch):
         ),
     ],
 )
-@pytest.mark.parametrize("transport", ["pickle", "shm"])
-def test_parallel_join_and_scan_construct_no_tuplerefs(
-    pointer_births, pool, transport
-):
+def test_parallel_join_and_scan_construct_no_tuplerefs(pointer_births, pool):
     """Regression guard for the wire: a parallel scan and a parallel
     hash join move pointers as packed words and hand back plain-int
     rows — not one ``TupleRef`` is constructed on the coordinator (with
     the inline pool, nor in the "workers")."""
     db = _db_with_r_and_s()
     executor = ParallelBatchExecutor(
-        db.catalog, workers=2, morsel_size=64, pool=pool,
-        transport=transport, shm_threshold_rows=32,
+        db.catalog, workers=2, morsel_size=64, pool=pool
     )
     try:
         del pointer_births[:]
@@ -331,3 +329,81 @@ def test_parallel_join_and_scan_construct_no_tuplerefs(
         assert all(relation.read_field(row[0], "A") > 5 for row in scanned)
     finally:
         executor.close()
+
+
+# --------------------------------------------------------------------- #
+# the workers' decoded probe-table cache
+# --------------------------------------------------------------------- #
+
+
+class TestBlobCacheLRU:
+    def test_bounded_with_eviction_counter(self):
+        tasks.reset_blob_cache()
+        try:
+            limit = tasks._TABLE_CACHE_LIMIT
+            for i in range(limit + 2):
+                tasks._cache_table((0, i), {"t": i})
+            stats = tasks.blob_cache_stats()
+            assert stats["entries"] == limit
+            assert stats["evictions"] == 2
+            # Oldest entries fell out; newest survive.
+            assert (0, 0) not in tasks._TABLE_CACHE
+            assert (0, limit + 1) in tasks._TABLE_CACHE
+        finally:
+            tasks.reset_blob_cache()
+
+    def test_probe_workload_evicts_past_limit(self):
+        # Each hash-join statement broadcasts a fresh table_id, so more
+        # than _TABLE_CACHE_LIMIT joins must evict (without the bound a
+        # long-lived worker would pin every probe table it decoded).
+        db = _db_with_r_and_s()
+        tasks.reset_blob_cache()
+        executor = ParallelBatchExecutor(
+            db.catalog, batch_size=64, workers=2, morsel_size=128,
+            pool="inline",
+        )
+        try:
+            for lo in range(tasks._TABLE_CACHE_LIMIT + 2):
+                executor.execute(
+                    JoinNode(
+                        ScanNode("R"), ScanNode("S", gt("A", lo)),
+                        "A", "A", "hash",
+                    )
+                )
+            assert tasks.blob_cache_stats()["evictions"] >= 1
+        finally:
+            executor.close()
+            tasks.reset_blob_cache()
+
+
+def test_transport_metrics_and_span_annotations():
+    """With observability on, pipe bytes are metered per path and every
+    morsel span carries the bytes its request and result moved."""
+    db = _db_with_r_and_s()
+    obs = db.configure_observability()
+    executor = ParallelBatchExecutor(
+        db.catalog, workers=2, morsel_size=128, pool="inline"
+    )
+    try:
+        executor.execute(
+            JoinNode(ScanNode("R"), ScanNode("S"), "A", "A", "hash")
+        )
+        for path in ("dispatch", "result"):
+            assert obs.metrics.counter(
+                "transport_bytes_total", path=path
+            ).value > 0
+
+        def morsel_spans(span):
+            found = [span] if span.kind == "morsel" else []
+            for child in span.children:
+                found.extend(morsel_spans(child))
+            return found
+
+        annotated = morsel_spans(obs.tracer.last())
+        assert annotated
+        assert all(span.attrs["payload_bytes"] > 0 for span in annotated)
+    finally:
+        executor.close()
+        db.configure_observability(
+            ObservabilityConfig(tracing=False, metrics=False)
+        )

@@ -1,4 +1,5 @@
-"""Unit coverage for the shipping layer: batches, channels, the shipper.
+"""Unit coverage for the shipping layer: batches, channels, the shipper,
+and the shared-memory carrier the channels move large batches through.
 
 Everything here drives :class:`ReplicaApplier` /
 :class:`LogShipper` directly with hand-built log records — no full
@@ -14,6 +15,7 @@ import pytest
 
 from repro import Field, FieldType, MainMemoryDatabase
 from repro.errors import (
+    ConfigError,
     CorruptBatchError,
     InjectedFaultError,
     ReplicationEpochError,
@@ -301,6 +303,97 @@ class TestShmTransport:
             )
         finally:
             db.stop_replication()
+
+    def test_unavailable_platform_keeps_batches_on_the_pipe(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(shm, "shared_memory", None)
+        assert not shm.available()
+        db = _workload_db(replicate=False)
+        db.configure_replication(channel="inline", transport="shm")
+        try:
+            for i in range(200):
+                db.insert("R", [1000 + i, i % 40])
+            stats = db.demote(reason="no shared memory")
+            assert stats.records_replayed == 200
+            assert db.replication.channel.stats.get("shipped_via_shm", 0) == 0
+            assert len(db.select("R").materialize()) == 630
+        finally:
+            db.stop_replication()
+
+    def test_config_validates_transport(self):
+        with pytest.raises(ConfigError, match="replication transport"):
+            ReplicationConfig(transport="carrier-pigeon")
+
+
+@pytest.mark.skipif(not shm.available(), reason="POSIX shared memory required")
+class TestShmCarrier:
+    def test_blob_round_trip(self):
+        blob = os.urandom(10_000)
+        descriptor = shm.write_blob(blob)
+        assert shm.is_blob(descriptor)
+        try:
+            assert shm.read_blob(descriptor) == blob
+        finally:
+            shm.arena().unlink(descriptor[1])
+
+    def test_read_blob_keeps_segment(self):
+        # Readers never reclaim: the creator unlinks once every reader
+        # is done, so a blob reads back as often as needed until then.
+        descriptor = shm.write_blob(b"twice")
+        try:
+            assert shm.read_blob(descriptor) == b"twice"
+            assert shm.read_blob(descriptor) == b"twice"
+            assert shm.arena().active_segments() == 1
+        finally:
+            shm.arena().unlink(descriptor[1])
+
+    def test_write_read_unlink_rows(self):
+        from repro.query.parallel.transport import encode_rows
+
+        packed = encode_rows([(i, 1 << 32 | i + 1) for i in range(50)])
+        before = shm.arena().active_segments()
+        descriptor = shm.write_rows(packed)
+        assert shm.arena().active_segments() == before + 1
+        # The segment reading reclaims holds the packed bytes themselves.
+        assert shm.read_rows(descriptor) == packed
+        assert shm.arena().active_segments() == before
+
+    def test_drain_reaps_everything_owned(self):
+        shm.write_blob(b"one")
+        shm.write_blob(b"two")
+        assert shm.arena().drain() >= 2
+        assert shm.arena().active_segments() == 0
+
+    def test_unlink_tolerates_missing_segment(self):
+        shm.arena().unlink("repro-never-existed-12345")
+
+    def test_forked_child_disowns_parent_segments(self):
+        # A forked child inherits the arena registry copy-on-write but
+        # must abandon it: the parent's segment has to survive any
+        # child-side drain (e.g. the child's atexit).
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork on this platform")
+        descriptor = shm.write_blob(b"parent")
+        try:
+            ctx = multiprocessing.get_context("fork")
+            queue = ctx.SimpleQueue()
+
+            def child():
+                queue.put(
+                    (shm.arena().active_segments(), shm.arena().drain())
+                )
+
+            proc = ctx.Process(target=child)
+            proc.start()
+            proc.join(30)
+            assert proc.exitcode == 0
+            assert queue.get() == (0, 0)
+            assert shm.read_blob(descriptor) == b"parent"
+        finally:
+            shm.arena().unlink(descriptor[1])
 
 
 def _workload_db(replicate: bool):

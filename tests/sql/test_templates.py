@@ -154,6 +154,8 @@ class TestLifter:
             "AND c = ?s LIMIT 10"
         )
         assert params == (17, 2.5, "it's  9")
+        # Identifiers are case-sensitive in this dialect; the key must be.
+        assert lift("SELECT * FROM t")[0] != lift("SELECT * FROM T")[0]
 
     def test_limit_and_ddl_literals_stay_in_the_key(self):
         assert lift("SELECT * FROM T LIMIT 5")[0] != lift(
