@@ -7,9 +7,9 @@ elimination — and runs the identical plan trees through both execution
 engines:
 
 * the tuple-at-a-time reference :class:`~repro.query.executor.Executor`;
-* the batch-pipelined
-  :class:`~repro.query.vectorized.BatchExecutor` (compiled predicates,
-  partitioned hash join, dereference-cached keys).
+* the batch :class:`~repro.query.vectorized.BatchExecutor` (compiled
+  predicates, partitioned hash join, dereference-cached keys, each
+  operator over its child's whole row list).
 
 Reported per engine: wall-clock, the Section 3.1 weighted cost, raw
 comparison/traversal/hash counts and the batch engine's

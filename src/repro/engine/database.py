@@ -257,7 +257,6 @@ class MainMemoryDatabase:
         config=None,
         *,
         engine: str = None,
-        batch_size: int = None,
         workers: int = None,
         morsel_size: int = None,
         pool: str = None,
@@ -269,7 +268,7 @@ class MainMemoryDatabase:
 
         ``config`` is an
         :class:`~repro.query.vectorized.ExecutionConfig`; alternatively
-        pass its fields as keywords.  Passing only ``batch_size``
+        pass its fields as keywords.  Passing fields without ``engine``
         implies the batch engine.  Called with nothing, it restores the
         default tuple-at-a-time engine.  ``workers=N`` with the batch
         engine adds morsel-driven parallelism for ``N > 1``;
@@ -286,7 +285,6 @@ class MainMemoryDatabase:
 
         keyword_fields = {
             "engine": engine,
-            "batch_size": batch_size,
             "workers": workers,
             "morsel_size": morsel_size,
             "pool": pool,
@@ -316,7 +314,6 @@ class MainMemoryDatabase:
                 self.executor = ParallelBatchExecutor(
                     self.catalog,
                     self.result_cache,
-                    config.batch_size,
                     workers=config.workers,
                     morsel_size=config.morsel_size,
                     pool=config.pool,
@@ -325,9 +322,7 @@ class MainMemoryDatabase:
                     retry_backoff=config.retry_backoff,
                 )
             else:
-                self.executor = BatchExecutor(
-                    self.catalog, self.result_cache, config.batch_size
-                )
+                self.executor = BatchExecutor(self.catalog, self.result_cache)
         else:
             self.executor = Executor(self.catalog, self.result_cache)
         self._retire_executor(previous)

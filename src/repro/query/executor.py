@@ -393,12 +393,6 @@ class Executor:
             return self_ref
         return rows_list.value_extractor(column)
 
-    def _join_descriptor(
-        self, left: ResultDescriptor, right: ResultDescriptor
-    ) -> ResultDescriptor:
-        """Concatenate two descriptors, qualifying colliding names."""
-        return join_descriptor(left, right)
-
     def _execute_join(self, node: JoinNode) -> TemporaryList:
         method = node.method
         if node.op != "=":
@@ -428,7 +422,7 @@ class Executor:
             )
         else:  # pragma: no cover - guarded by JoinNode.__post_init__
             raise PlanError(f"unhandled join method {method!r}")
-        descriptor = self._join_descriptor(left.descriptor, right.descriptor)
+        descriptor = join_descriptor(left.descriptor, right.descriptor)
         rows = [l_row + r_row for l_row, r_row in pairs]
         return TemporaryList(descriptor, rows)
 
@@ -449,7 +443,7 @@ class Executor:
                     left.rows(), left_key, index, node.op
                 )
             right_desc = ResultDescriptor.whole_relation(right_rel)
-            descriptor = self._join_descriptor(left.descriptor, right_desc)
+            descriptor = join_descriptor(left.descriptor, right_desc)
             rows = [l_row + (r_ref,) for l_row, r_ref in pairs]
             return TemporaryList(descriptor, rows)
         right = self.execute(node.right)
@@ -458,7 +452,7 @@ class Executor:
         pairs = join_ops.theta_join(
             left.rows(), right.rows(), left_key, right_key, predicate
         )
-        descriptor = self._join_descriptor(left.descriptor, right.descriptor)
+        descriptor = join_descriptor(left.descriptor, right.descriptor)
         rows = [l_row + r_row for l_row, r_row in pairs]
         return TemporaryList(descriptor, rows)
 
@@ -475,7 +469,7 @@ class Executor:
         with obs_runtime.span("tree_join.probe", "join_phase"):
             pairs = join_ops.tree_join(left.rows(), left_key, index)
         right_desc = ResultDescriptor.whole_relation(right_rel)
-        descriptor = self._join_descriptor(left.descriptor, right_desc)
+        descriptor = join_descriptor(left.descriptor, right_desc)
         rows = [l_row + (r_ref,) for l_row, r_ref in pairs]
         return TemporaryList(descriptor, rows)
 
@@ -491,7 +485,7 @@ class Executor:
                 f"{right_rel.name}.{node.right_col})"
             )
         pairs = join_ops.tree_merge_join(left_index, right_index)
-        descriptor = self._join_descriptor(
+        descriptor = join_descriptor(
             ResultDescriptor.whole_relation(left_rel),
             ResultDescriptor.whole_relation(right_rel),
         )
@@ -519,6 +513,6 @@ class Executor:
         pointer_of = left.value_extractor(node.left_col)
         pairs = join_ops.precomputed_join(left.rows(), pointer_of)
         right_desc = ResultDescriptor.whole_relation(right_rel)
-        descriptor = self._join_descriptor(left.descriptor, right_desc)
+        descriptor = join_descriptor(left.descriptor, right_desc)
         rows = [l_row + (r_ref,) for l_row, r_ref in pairs]
         return TemporaryList(descriptor, rows)

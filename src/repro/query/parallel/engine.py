@@ -2,19 +2,22 @@
 
 :class:`ParallelBatchExecutor` is a
 :class:`~repro.query.vectorized.engine.BatchExecutor` that fans the
-hot, data-parallel operators out over a
+batch engine's four row kernels out over a
 :class:`~repro.query.parallel.scheduler.MorselScheduler`:
 
-* selection — scan predicates and filters, morsels of the input rows;
-* hash equi-join — parallel partitioned build *and* probe, broadcast
-  of the merged build table as one pickled blob;
-* hash duplicate elimination — local dedup per morsel, ordered merge.
+* ``_scan_refs`` / ``_filter_rows`` — selection, morsels of the input
+  pointers / rows;
+* ``_hash_join_rows`` — parallel partitioned build *and* probe,
+  broadcast of the merged build table as one pickled blob;
+* ``_dedup_rows`` — hash duplicate elimination, local dedup per morsel,
+  ordered merge.
 
-Everything else — index leaves, sorts, the non-hash join methods,
-sort-based dedup, non-plain predicates (the FK rewrite captures live
-relations), and any input at or below one morsel — runs the inherited
-batch operators (``_filter_batches``, ``_hash_join_rows``, ...)
-unchanged.
+Those four overrides are all it changes: every node still materialises
+through the batch engine's own operators, and each override falls back
+to ``super()`` for what the pool cannot take — index leaves, sorts, the
+non-hash join methods and sort-based dedup never reach it; non-plain
+predicates (the FK rewrite captures live relations) and any input at or
+below one morsel run in-process.
 
 **Counter-merge contract.**  Morsel boundaries are a function of the
 input size and ``morsel_size`` only, never of the worker count; every
@@ -30,15 +33,13 @@ reported physical savings may be lower than the scalar engine's.
 
 Per-morsel counts merge under a ``<op>.morsel`` span each, so with
 tracing active the rollup places every worker's ops inside the
-operator span that dispatched it (eager mode is already forced when a
-tracer is active, exactly as in the scalar batch engine).
+operator span that dispatched it.
 """
 
 from __future__ import annotations
 
 import pickle
-from itertools import chain
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.instrument import count_alloc, count_move, count_traverse
 from repro.instrument.counters import current_counters
@@ -58,14 +59,8 @@ from repro.query.parallel.transport import (
     plain_predicate,
     slice_packed,
 )
-from repro.query.plan import (
-    FilterNode,
-    JoinNode,
-    ProjectNode,
-    ScanNode,
-)
+from repro.query.plan import FilterNode, JoinNode, ProjectNode, ScanNode
 from repro.query.vectorized.config import (
-    DEFAULT_BATCH_SIZE,
     DEFAULT_MORSEL_SIZE,
     DEFAULT_RETRY_ATTEMPTS,
 )
@@ -74,7 +69,7 @@ from repro.query.vectorized.kernels import (
     DEFAULT_PARTITIONS,
     _fit_partitions,
 )
-from repro.storage.temporary import ResultDescriptor, TemporaryList
+from repro.storage.temporary import ResultDescriptor
 
 
 class ParallelBatchExecutor(BatchExecutor):
@@ -90,7 +85,6 @@ class ParallelBatchExecutor(BatchExecutor):
         self,
         catalog,
         result_cache=None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         workers: int = 2,
         morsel_size: int = DEFAULT_MORSEL_SIZE,
         pool: str = "process",
@@ -98,7 +92,7 @@ class ParallelBatchExecutor(BatchExecutor):
         retry_timeout: float = 0.0,
         retry_backoff=None,
     ) -> None:
-        super().__init__(catalog, result_cache, batch_size)
+        super().__init__(catalog, result_cache)
         if workers < 2:
             raise ValueError(
                 "ParallelBatchExecutor needs workers >= 2; "
@@ -191,12 +185,13 @@ class ParallelBatchExecutor(BatchExecutor):
     # parallel selection
     # ------------------------------------------------------------------ #
 
-    def _parallel_scan(self, node: ScanNode, relation) -> Optional[list]:
-        """Filtered scan refs via the pool, or None for the scalar path."""
-        if node.predicate is None or not plain_predicate(node.predicate):
-            return None
-        if relation.cardinality <= self.morsel_size:
-            return None
+    def _scan_refs(self, node: ScanNode, relation) -> list:
+        if (
+            node.predicate is None
+            or not plain_predicate(node.predicate)
+            or relation.cardinality <= self.morsel_size
+        ):
+            return super()._scan_refs(node, relation)
         # The one canonical (organically counted) index walk happens
         # here in the coordinator, exactly as on the scalar path; each
         # worker gets its morsel of that walk packed.
@@ -212,20 +207,19 @@ class ParallelBatchExecutor(BatchExecutor):
             kept.extend(decode_refs(packed))
         return kept
 
-    def _maybe_parallel_filter(
-        self, descriptor: ResultDescriptor, predicate, rows: list
-    ) -> Optional[list]:
-        """Filtered rows via the pool, or None for the scalar path."""
+    def _filter_rows(
+        self, node: FilterNode, descriptor: ResultDescriptor, rows: list
+    ) -> list:
         if (
             len(rows) <= self.morsel_size
-            or not plain_predicate(predicate)
+            or not plain_predicate(node.predicate)
             or not describable(self.catalog, descriptor)
         ):
-            return None
+            return super()._filter_rows(node, descriptor, rows)
         token = self.scheduler.token
         spec = describe(descriptor)
         payloads = [
-            (token, spec, predicate, morsel)
+            (token, spec, node.predicate, morsel)
             for morsel in self._dispatch_morsels(encode_rows(rows))
         ]
         results = self.scheduler.run("filter_rows", payloads)
@@ -238,22 +232,23 @@ class ParallelBatchExecutor(BatchExecutor):
     # parallel hash join
     # ------------------------------------------------------------------ #
 
-    def _maybe_parallel_hash_join(
+    def _hash_join_rows(
         self,
         node: JoinNode,
         left_desc: ResultDescriptor,
         outer: list,
         right_desc: ResultDescriptor,
         inner: list,
-    ) -> Optional[list]:
-        """Joined rows via the pool, or None for the scalar path."""
-        if len(outer) <= self.morsel_size and len(inner) <= self.morsel_size:
-            return None
-        if not (
+    ) -> list:
+        if (
+            len(outer) <= self.morsel_size and len(inner) <= self.morsel_size
+        ) or not (
             describable(self.catalog, left_desc)
             and describable(self.catalog, right_desc)
         ):
-            return None
+            return super()._hash_join_rows(
+                node, left_desc, outer, right_desc, inner
+            )
         token = self.scheduler.token
         with obs_runtime.span("hash_join.build", "join_phase"):
             groups = self._build_groups(token, right_desc, node.right_col, inner)
@@ -261,10 +256,9 @@ class ParallelBatchExecutor(BatchExecutor):
             # constructor, charged once by the coordinator.
             count_alloc(_fit_partitions(len(inner), DEFAULT_PARTITIONS))
         with obs_runtime.span("hash_join.probe", "join_phase"):
-            rows = self._probe_groups(
+            return self._probe_groups(
                 token, left_desc, node.left_col, outer, groups
             )
-        return rows
 
     def _build_groups(
         self, token: int, descriptor: ResultDescriptor, column: str, inner: list
@@ -331,23 +325,18 @@ class ParallelBatchExecutor(BatchExecutor):
         return out
 
     # ------------------------------------------------------------------ #
-    # parallel hash dedup (shared by pipelined and eager modes)
+    # parallel hash dedup
     # ------------------------------------------------------------------ #
 
     def _dedup_rows(
         self, descriptor: ResultDescriptor, rows: list, node: ProjectNode
     ) -> list:
-        if (
+        if not (
             node.dedup_method == "hash"
             and len(rows) > self.morsel_size
             and describable(self.catalog, descriptor)
         ):
-            return self._parallel_dedup(descriptor, rows, node)
-        return super()._dedup_rows(descriptor, rows, node)
-
-    def _parallel_dedup(
-        self, descriptor: ResultDescriptor, rows: list, node: ProjectNode
-    ) -> list:
+            return super()._dedup_rows(descriptor, rows, node)
         token = self.scheduler.token
         spec = describe(descriptor)
         columns = tuple(node.columns)
@@ -371,94 +360,3 @@ class ParallelBatchExecutor(BatchExecutor):
         count_alloc(1)
         count_move(len(out))
         return out
-
-    # ------------------------------------------------------------------ #
-    # pipelined-mode overrides
-    # ------------------------------------------------------------------ #
-
-    def _stream_scan(self, node: ScanNode):
-        relation = self.catalog.relation(node.relation_name)
-        kept = self._parallel_scan(node, relation)
-        if kept is None:
-            return super()._stream_scan(node)
-        descriptor = ResultDescriptor.whole_relation(relation)
-        rows = [(ref,) for ref in kept]
-        return descriptor, self._chunks(rows)
-
-    def _stream_filter(self, node: FilterNode):
-        descriptor, batches = self._stream(node.child)
-        if not (
-            plain_predicate(node.predicate)
-            and describable(self.catalog, descriptor)
-        ):
-            return descriptor, self._filter_batches(node, descriptor, batches)
-
-        def generate():
-            rows: list = []
-            iterator = iter(batches)
-            for batch in iterator:
-                rows.extend(batch)
-                if len(rows) > self.morsel_size:
-                    break
-            else:
-                # Never crossed one morsel: filter the buffer in-process
-                # with a single mask (one memo, like the batch stream).
-                yield from self._filter_batches(
-                    node, descriptor, self._chunks(rows)
-                )
-                return
-            for batch in iterator:
-                rows.extend(batch)
-            kept = self._maybe_parallel_filter(
-                descriptor, node.predicate, rows
-            )
-            yield from self._chunks(kept)
-
-        return descriptor, generate()
-
-    def _stream_hash_join(self, node: JoinNode):
-        left_desc, left_batches = self._stream(node.left)
-        right_desc, right_batches = self._stream(node.right)
-        descriptor = self._join_descriptor(left_desc, right_desc)
-
-        def generate():
-            inner = list(chain.from_iterable(right_batches))
-            outer = list(chain.from_iterable(left_batches))
-            yield from self._chunks(
-                self._hash_join_rows(node, left_desc, outer, right_desc, inner)
-            )
-
-        return descriptor, generate()
-
-    def _hash_join_rows(self, node, left_desc, outer, right_desc, inner):
-        rows = self._maybe_parallel_hash_join(
-            node, left_desc, outer, right_desc, inner
-        )
-        if rows is None:
-            rows = super()._hash_join_rows(
-                node, left_desc, outer, right_desc, inner
-            )
-        return rows
-
-    # ------------------------------------------------------------------ #
-    # eager-mode overrides (tracer / result cache active)
-    # ------------------------------------------------------------------ #
-
-    def _execute_scan(self, node: ScanNode) -> TemporaryList:
-        relation = self.catalog.relation(node.relation_name)
-        kept = self._parallel_scan(node, relation)
-        if kept is None:
-            return super()._execute_scan(node)
-        return TemporaryList.from_refs(relation, kept)
-
-    def _execute_filter(self, node: FilterNode) -> TemporaryList:
-        child = self.execute(node.child)
-        rows = child.rows()
-        kept = self._maybe_parallel_filter(
-            child.descriptor, node.predicate, rows
-        )
-        if kept is None:
-            kept = next(
-                self._filter_batches(node, child.descriptor, [rows]), []
-            )
-        return TemporaryList(child.descriptor, kept)

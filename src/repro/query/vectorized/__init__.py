@@ -1,12 +1,13 @@
-"""Batch-pipelined execution (the vectorized engine).
+"""Batch execution (the vectorized engine).
 
 A second execution path over the *same* plan trees as
-:class:`repro.query.executor.Executor`: operators exchange fixed-size
-batches of tuple-pointer rows through generators, predicates are
-compiled once per operator into eval-free closure chains, and a
-per-operator dereference cache memoizes (tuple, field) extraction so
-each pointer traversal is *performed* at most once per operator while
-still being *counted* every time the paper's cost model charges it.
+:class:`repro.query.executor.Executor`: every node materialises its
+tuple-pointer rows once and each operator runs over its child's whole
+row list as one batch.  Predicates are compiled once per operator into
+eval-free closure chains, and a per-operator dereference cache
+memoizes (tuple, field) extraction so each pointer traversal is
+*performed* at most once per operator while still being *counted*
+every time the paper's cost model charges it.
 
 The package is organised as:
 
@@ -32,7 +33,6 @@ kernel, whose op counts are bounded above by the tuple engine's.
 """
 
 from repro.query.vectorized.config import (
-    DEFAULT_BATCH_SIZE,
     DEFAULT_MORSEL_SIZE,
     ENGINES,
     POOL_MODES,
@@ -47,7 +47,6 @@ from repro.query.vectorized.engine import BatchExecutor
 
 __all__ = [
     "BatchExecutor",
-    "DEFAULT_BATCH_SIZE",
     "DEFAULT_MORSEL_SIZE",
     "DEREF_SAVED_COUNTER",
     "ENGINES",

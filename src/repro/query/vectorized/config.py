@@ -13,11 +13,6 @@ from typing import Optional
 
 from repro.errors import ConfigError
 
-#: Rows per batch exchanged between pipelined operators.  Large enough
-#: to amortize per-batch bookkeeping, small enough that a pipeline's
-#: working set stays cache-resident.
-DEFAULT_BATCH_SIZE = 256
-
 #: Rows per parallel morsel.  Morsel decomposition depends only on the
 #: input size and this setting — never on the worker count — which is
 #: what makes the merged Section 3.1 counter totals identical for any
@@ -47,10 +42,11 @@ class ExecutionConfig:
     """Which executor evaluates plan trees, and how.
 
     ``engine`` — ``"tuple"`` (the reference tuple-at-a-time path) or
-    ``"batch"`` (the pipelined vectorized path).  ``batch_size`` only
-    matters for the batch engine.  ``workers`` > 1 adds morsel-driven
-    parallelism on top of the batch engine; ``workers=1`` (the default)
-    is exactly the scalar batch engine — no pool is ever created.
+    ``"batch"`` (the vectorized path: compiled predicates, cached
+    dereferences, hash kernels over each node's whole row list).
+    ``workers`` > 1 adds morsel-driven parallelism on top of the batch
+    engine; ``workers=1`` (the default) is exactly the scalar batch
+    engine — no pool is ever created.
     ``morsel_size`` sets the parallel work-unit size and the minimum
     input size worth parallelising; ``pool`` picks the worker-pool
     mode (see :data:`POOL_MODES`).
@@ -66,7 +62,6 @@ class ExecutionConfig:
     """
 
     engine: str = "tuple"
-    batch_size: int = DEFAULT_BATCH_SIZE
     workers: int = 1
     morsel_size: int = DEFAULT_MORSEL_SIZE
     pool: str = "process"
@@ -79,13 +74,6 @@ class ExecutionConfig:
             raise ConfigError(
                 f"unknown execution engine {self.engine!r}; "
                 f"choose one of {ENGINES}"
-            )
-        if not isinstance(self.batch_size, int) or isinstance(
-            self.batch_size, bool
-        ) or self.batch_size < 1:
-            raise ConfigError(
-                f"batch_size must be a positive integer, "
-                f"got {self.batch_size!r}"
             )
         if not isinstance(self.workers, int) or isinstance(
             self.workers, bool

@@ -177,24 +177,6 @@ class TemporaryList:
         for index in self._indexes.values():
             index.insert(row)
 
-    def extend(self, rows: Sequence[Tuple[TupleRef, ...]]) -> None:
-        """Bulk-append pointer rows (one arity check pass, one splice).
-
-        The batch engine drains operator pipelines through this instead
-        of per-row :meth:`append`, so the common no-index case is a
-        single list splice.
-        """
-        arity = len(self.descriptor.sources)
-        for row in rows:
-            if len(row) != arity:
-                raise QueryError(
-                    f"row arity {len(row)} != source count {arity}"
-                )
-        self._rows.extend(rows)
-        for index in self._indexes.values():
-            for row in rows:
-                index.insert(row)
-
     def rows(self) -> List[Tuple[TupleRef, ...]]:
         """The underlying pointer rows (shared, not copied)."""
         return self._rows

@@ -10,12 +10,17 @@ above by the tuple engine's (see DESIGN.md section 3.8).
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
 from repro import Field, FieldType, MainMemoryDatabase
+from repro.cache.result_cache import ResultCache
 from repro.instrument import counters_scope
+from repro.obs import Observability, ObservabilityConfig
+from repro.obs import runtime as obs_runtime
 from repro.query.executor import Executor
+from repro.query.parallel import ParallelBatchExecutor
 from repro.query.plan import (
     REF_COLUMN,
     FilterNode,
@@ -165,10 +170,10 @@ def _run(executor, plan):
     return result, counters.snapshot()
 
 
-def _assert_differential(db, plan, batch_size):
+def _assert_differential(db, plan, executor=None):
     tuple_result, tuple_counts = _run(Executor(db.catalog), plan)
     batch_result, batch_counts = _run(
-        BatchExecutor(db.catalog, batch_size=batch_size), plan
+        executor or BatchExecutor(db.catalog), plan
     )
     assert tuple_result.rows() == batch_result.rows(), plan.explain()
     assert [c.name for c in tuple_result.descriptor.columns] == [
@@ -188,12 +193,13 @@ def _assert_differential(db, plan, batch_size):
 
 @pytest.mark.parametrize("plan", _plan_mix(), ids=lambda p: p.explain())
 def test_plan_differential(db, plan):
-    _assert_differential(db, plan, batch_size=64)
+    _assert_differential(db, plan)
 
 
-@pytest.mark.parametrize("batch_size", [1, 7, 64, 1024])
-def test_batch_size_invariance(db, batch_size):
-    """Results and counts must not depend on the batch size."""
+@pytest.mark.parametrize("morsel_size", [1, 7, 64, 1024])
+def test_batch_size_invariance(db, morsel_size):
+    """Results and counts must not depend on the size of the batches the
+    rows are cut into: the parallel engine's morsels, down to one row."""
     plans = [
         ScanNode("R", gt("A", 5) & lt("A", 30)),
         JoinNode(ScanNode("R"), ScanNode("S"), "A", "A", "hash"),
@@ -201,8 +207,87 @@ def test_batch_size_invariance(db, batch_size):
             ScanNode("R"), ("A",), deduplicate=True, dedup_method="hash"
         ),
     ]
-    for plan in plans:
-        _assert_differential(db, plan, batch_size=batch_size)
+    executor = ParallelBatchExecutor(
+        db.catalog, workers=2, morsel_size=morsel_size, pool="inline"
+    )
+    try:
+        for plan in plans:
+            _assert_differential(db, plan, executor)
+    finally:
+        executor.close()
+
+
+class _ColdCache(ResultCache):
+    """A result cache whose snapshot copies (its own bookkeeping: one
+    move per stored row) stay out of the engine's counts."""
+
+    def store_plan(self, plan, result):
+        with counters_scope():
+            super().store_plan(plan, result)
+
+
+@contextmanager
+def _attached(db, workers, attachment):
+    """A fresh batch engine, bare or with ``attachment`` in force."""
+    cache = _ColdCache(db.catalog) if attachment == "cache" else None
+    if workers == 1:
+        executor = BatchExecutor(db.catalog, cache)
+    else:
+        # Morsels far below the table sizes, so every kernel the pool
+        # can take is dispatched.
+        executor = ParallelBatchExecutor(
+            db.catalog, cache, workers=workers, morsel_size=32, pool="inline"
+        )
+    previous = obs_runtime.active()
+    if attachment == "tracer":
+        obs_runtime.activate(
+            Observability(ObservabilityConfig(metrics=False))
+        )
+    try:
+        yield executor
+    finally:
+        obs_runtime.activate(previous)
+        if workers > 1:
+            executor.close()
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["batch", "parallel"])
+def test_same_answer_whatever_is_attached(db, workers):
+    """Rows and the five counters do not depend on whether a result
+    cache or a tracer is attached: every node runs the same kernels."""
+    for plan in _plan_mix():
+        runs = {}
+        for attachment in ("bare", "cache", "tracer"):
+            with _attached(db, workers, attachment) as executor:
+                result, counts = _run(executor, plan)
+            runs[attachment] = (
+                result.rows(),
+                [getattr(counts, field) for field in _COUNTER_FIELDS],
+            )
+        assert runs["cache"] == runs["bare"], plan.explain()
+        assert runs["tracer"] == runs["bare"], plan.explain()
+
+
+def test_failed_join_releases_cached_keys():
+    """A non-hash join that raises leaves no cached key extractor (each
+    holds a memo of every row) behind on the executor."""
+    database = MainMemoryDatabase()
+    for name in ("R", "S"):
+        database.create_relation(
+            name,
+            [Field("Id", FieldType.INT), Field("A", FieldType.INT)],
+            primary_key="Id",
+        )
+    for i in range(5):
+        database.insert("R", [i, None if i == 2 else i])
+        database.insert("S", [i, i])
+    database.configure_execution(engine="batch")
+    query = "SELECT R.Id FROM R JOIN S ON R.A = S.A USING sort_merge"
+    for _ in range(3):
+        # NULL join keys are not comparable; both engines raise.
+        with pytest.raises(TypeError):
+            database.sql(query)
+        assert database.executor._live_keys == []
 
 
 def test_self_ref_join_key(db):
@@ -210,7 +295,7 @@ def test_self_ref_join_key(db):
     plan = JoinNode(
         ScanNode("R"), ScanNode("R"), REF_COLUMN, REF_COLUMN, "hash"
     )
-    _assert_differential(db, plan, batch_size=64)
+    _assert_differential(db, plan)
 
 
 def test_deref_savings_reported(db):
@@ -229,9 +314,8 @@ def test_database_level_switch(db):
     db.configure_execution(engine="tuple")
     with counters_scope() as ct:
         tuple_rows = db.sql(query).to_dicts()
-    db.configure_execution(engine="batch", batch_size=32)
+    db.configure_execution(engine="batch")
     assert db.executor.engine_name == "batch"
-    assert db.execution_config.batch_size == 32
     with counters_scope() as cb:
         batch_rows = db.sql(query).to_dicts()
     db.configure_execution()  # restore the default tuple engine

@@ -13,7 +13,7 @@ import pytest
 from repro import Field, FieldType, MainMemoryDatabase
 from repro.errors import ConfigError, ReproError
 from repro.query.executor import Executor
-from repro.query.vectorized import POOL_MODES, BatchExecutor, ExecutionConfig
+from repro.query.vectorized import POOL_MODES, ExecutionConfig
 
 
 @pytest.fixture()
@@ -41,7 +41,9 @@ class TestInvalidSettings:
 
     @pytest.mark.parametrize("bad", [0, -1, -100, 2.5, "16", True])
     def test_bad_batch_size(self, db, bad):
-        with pytest.raises(ConfigError, match="batch_size"):
+        # batch_size is retired (each batch operator takes its child's
+        # whole row list): no value of it is accepted any more.
+        with pytest.raises(TypeError, match="batch_size"):
             db.configure_execution(engine="batch", batch_size=bad)
 
     @pytest.mark.parametrize("bad", [0, -1, -8, 1.5, "4", False])
@@ -79,11 +81,11 @@ class TestInvalidSettings:
     def test_config_object_and_keywords_conflict(self, db):
         with pytest.raises(ConfigError, match="not both"):
             db.configure_execution(
-                ExecutionConfig(engine="batch"), batch_size=32
+                ExecutionConfig(engine="batch"), workers=2
             )
 
     def test_invalid_config_leaves_executor_untouched(self, db):
-        db.configure_execution(engine="batch", batch_size=32)
+        db.configure_execution(engine="batch")
         before = db.executor
         with pytest.raises(ConfigError):
             db.configure_execution(engine="nope")
@@ -98,12 +100,6 @@ class TestValidSettings:
         assert type(db.executor) is Executor
         assert db.execution_config.engine == "tuple"
 
-    def test_batch_size_alone_implies_batch(self, db):
-        db.configure_execution(batch_size=128)
-        assert type(db.executor) is BatchExecutor
-        assert db.execution_config.engine == "batch"
-        assert db.execution_config.batch_size == 128
-
     def test_workers_alone_implies_batch(self, db):
         db.configure_execution(workers=2, pool="inline")
         assert db.execution_config.engine == "batch"
@@ -112,7 +108,7 @@ class TestValidSettings:
 
     def test_config_object_round_trips(self, db):
         config = ExecutionConfig(
-            engine="batch", batch_size=64, workers=2, pool="inline"
+            engine="batch", workers=2, pool="inline"
         )
         db.configure_execution(config)
         assert db.execution_config is config
@@ -124,7 +120,7 @@ class TestValidSettings:
         assert config.workers == 1
         assert config.pool == "process"
         assert POOL_MODES == ("process", "inline")
-        assert len(fields(ExecutionConfig)) == 8
+        assert len(fields(ExecutionConfig)) == 7
 
 
 class TestEnvironmentDefaults:

@@ -130,7 +130,6 @@ def _run(executor, plan):
 def _parallel_executor(db, workers, morsel_size=MORSEL):
     return ParallelBatchExecutor(
         db.catalog,
-        batch_size=64,
         workers=workers,
         morsel_size=morsel_size,
         pool="inline",
@@ -140,9 +139,7 @@ def _parallel_executor(db, workers, morsel_size=MORSEL):
 @pytest.mark.parametrize("plan", _plan_mix(), ids=lambda p: p.explain())
 def test_plan_differential(db, plan):
     """Identical rows and identical merged base counters, all workers."""
-    base_result, base_counts = _run(
-        BatchExecutor(db.catalog, batch_size=64), plan
-    )
+    base_result, base_counts = _run(BatchExecutor(db.catalog), plan)
     for workers in WORKER_COUNTS:
         executor = _parallel_executor(db, workers)
         try:

@@ -82,7 +82,7 @@ def _executor(db, workers=2, **kwargs):
     kwargs.setdefault("morsel_size", MORSEL)
     kwargs.setdefault("pool", "inline")
     return ParallelBatchExecutor(
-        db.catalog, batch_size=64, workers=workers, **kwargs
+        db.catalog, workers=workers, **kwargs
     )
 
 
@@ -134,9 +134,7 @@ def test_transport_differential(db, plan, no_shm):
     """Rows and the five Section 3.1 counter totals are bit-identical
     to the batch engine's at every worker count, with no segment
     created or attached."""
-    base_rows, base_counts = _run(
-        BatchExecutor(db.catalog, batch_size=64), plan
-    )
+    base_rows, base_counts = _run(BatchExecutor(db.catalog), plan)
     for workers in WORKER_COUNTS:
         executor = _executor(db, workers=workers)
         try:
@@ -191,9 +189,7 @@ class TestShmFaults:
         )
         executor = _executor(db, workers=2)
         try:
-            base_rows, base_counts = _run(
-                BatchExecutor(db.catalog, batch_size=64), PROBE_PLAN
-            )
+            base_rows, base_counts = _run(BatchExecutor(db.catalog), PROBE_PLAN)
             rows, counts = _run(executor, PROBE_PLAN)
             assert rows == base_rows
             assert counts == base_counts

@@ -359,7 +359,7 @@ class TestBlobCacheLRU:
         db = _db_with_r_and_s()
         tasks.reset_blob_cache()
         executor = ParallelBatchExecutor(
-            db.catalog, batch_size=64, workers=2, morsel_size=128,
+            db.catalog, workers=2, morsel_size=128,
             pool="inline",
         )
         try:

@@ -45,28 +45,24 @@ class TestExecutionConfig:
     def test_defaults(self):
         config = ExecutionConfig()
         assert config.engine == "tuple"
-        assert config.batch_size == 256
+        assert config.workers == 1
 
     def test_engine_validated(self):
         with pytest.raises(ValueError):
             ExecutionConfig(engine="columnar")
 
     def test_batch_size_validated(self):
-        with pytest.raises(ValueError):
-            ExecutionConfig(batch_size=0)
+        # Every node runs over its child's whole row list: there is no
+        # batch size to set.
+        with pytest.raises(TypeError):
+            ExecutionConfig(batch_size=256)
 
     def test_executor_batch_size_validated(self, db):
-        with pytest.raises(ValueError):
-            BatchExecutor(db.catalog, batch_size=0)
+        with pytest.raises(TypeError):
+            BatchExecutor(db.catalog, batch_size=256)
 
 
 class TestConfigureExecution:
-    def test_batch_size_alone_implies_batch(self, db):
-        executor = db.configure_execution(batch_size=16)
-        assert executor.engine_name == "batch"
-        assert executor.batch_size == 16
-        assert db.execution_config.engine == "batch"
-
     def test_no_args_restores_tuple(self, db):
         db.configure_execution(engine="batch")
         executor = db.configure_execution()
@@ -79,10 +75,10 @@ class TestConfigureExecution:
 
     def test_config_object_applies(self, db):
         executor = db.configure_execution(
-            ExecutionConfig(engine="batch", batch_size=4)
+            ExecutionConfig(engine="batch")
         )
         assert executor.engine_name == "batch"
-        assert executor.batch_size == 4
+        assert type(executor) is BatchExecutor
 
 
 class TestDerefCache:
@@ -189,9 +185,3 @@ class TestObservabilityIntegration:
         rendered = db.sql("EXPLAIN ANALYZE SELECT * FROM T WHERE V > 2")
         text = str(rendered)
         assert "Scan" in text
-
-    def test_batch_size_one_matches_default(self, db):
-        plan = ScanNode("T", gt("V", 1) & lt("V", 4))
-        small = BatchExecutor(db.catalog, batch_size=1).execute(plan)
-        large = BatchExecutor(db.catalog, batch_size=512).execute(plan)
-        assert small.rows() == large.rows()
