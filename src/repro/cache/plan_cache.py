@@ -30,13 +30,6 @@ from repro.errors import CatalogError
 from repro.obs import runtime as obs_runtime
 
 
-def _record(layer: str, outcome: str) -> None:
-    """Count one cache request into the active metrics registry."""
-    obs = obs_runtime.active()
-    if obs is not None:
-        obs.metric_inc("cache_requests_total", layer=layer, outcome=outcome)
-
-
 class PlanCache:
     """Statement key → AST and statement key → optimized-plan caches."""
 
@@ -49,7 +42,11 @@ class PlanCache:
     def statement_for(self, key: Any):
         """Cached parsed AST for a statement key, or None."""
         statement = self.ast_cache.get(key)
-        _record("ast", "miss" if statement is None else "hit")
+        obs_runtime.metric_inc(
+            "cache_requests_total",
+            layer="ast",
+            outcome="miss" if statement is None else "hit",
+        )
         return statement
 
     def store_statement(self, key: Any, statement) -> None:
@@ -65,7 +62,9 @@ class PlanCache:
         """
         entry = self.plan_cache.get(key)
         if entry is None:
-            _record("plan", "miss")
+            obs_runtime.metric_inc(
+                "cache_requests_total", layer="plan", outcome="miss"
+            )
             return None
         plan, versions = entry
         for name, version in versions.items():
@@ -75,9 +74,13 @@ class PlanCache:
                 relation = None
             if relation is None or relation.version != version:
                 self.plan_cache.invalidate(key)
-                _record("plan", "stale")
+                obs_runtime.metric_inc(
+                    "cache_requests_total", layer="plan", outcome="stale"
+                )
                 return None
-        _record("plan", "hit")
+        obs_runtime.metric_inc(
+            "cache_requests_total", layer="plan", outcome="hit"
+        )
         return plan
 
     def store_plan(self, key: Any, plan, catalog) -> None:

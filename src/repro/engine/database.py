@@ -33,7 +33,6 @@ import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
-    CatalogError,
     QueryError,
     SchemaError,
     TransactionError,
@@ -45,7 +44,6 @@ from repro.query.plan import (
     REF_COLUMN,
     JoinNode,
     PlanNode,
-    ProjectNode,
     ScanNode,
 )
 from repro.query.predicates import Predicate
@@ -112,14 +110,11 @@ class MainMemoryDatabase:
         device, change-accumulation log) is active.  When false the
         database is volatile — the configuration the paper's query
         processing experiments ran in.
-    cache:
-        Optional :class:`~repro.cache.CacheConfig` enabling the query
-        reuse subsystem (plan cache + versioned result cache).  The
-        default, ``None``, leaves caching off: plans are rebuilt and
-        results recomputed on every call, exactly as before.
+
+    Query reuse caching is off until :meth:`configure_cache` installs it.
     """
 
-    def __init__(self, durable: bool = False, cache=None) -> None:
+    def __init__(self, durable: bool = False) -> None:
         self.catalog = Catalog()
         self.optimizer = Optimizer(self.catalog)
         self.executor = Executor(self.catalog)
@@ -162,13 +157,6 @@ class MainMemoryDatabase:
         env_ordering = os.environ.get("REPRO_JOIN_ORDERING")
         if env_ordering:
             self.configure_optimizer(join_ordering=env_ordering)
-        # Chaos hook: REPRO_FAULTS carries a fault-injection spec (see
-        # repro.fault.config) so CI chaos lanes can exercise the
-        # degraded paths without code changes.  Explicit
-        # configure_faults calls still override.
-        env_faults = os.environ.get("REPRO_FAULTS")
-        if env_faults:
-            self.configure_faults(spec=env_faults)
         # Observability hook: REPRO_OBS=1 enables the default tracing +
         # metrics + flight-recorder stack for every database in the
         # process (the obs-enabled CI smoke lane uses this).  Explicit
@@ -176,8 +164,6 @@ class MainMemoryDatabase:
         env_obs = os.environ.get("REPRO_OBS")
         if env_obs and env_obs not in ("0", "false", "off"):
             self.configure_observability()
-        if cache is not None:
-            self.configure_cache(cache)
         # Replication hook: REPRO_REPLICATION selects a channel mode
         # ("inline" / "process", optionally ":shm" for the transport)
         # for every *durable* database in the process — the failover CI
@@ -261,8 +247,6 @@ class MainMemoryDatabase:
         morsel_size: int = None,
         pool: str = None,
         retry_attempts: int = None,
-        retry_timeout: float = None,
-        retry_backoff=None,
     ):
         """Select the execution engine (tuple-at-a-time vs. batch).
 
@@ -289,8 +273,6 @@ class MainMemoryDatabase:
             "morsel_size": morsel_size,
             "pool": pool,
             "retry_attempts": retry_attempts,
-            "retry_timeout": retry_timeout,
-            "retry_backoff": retry_backoff,
         }
         given = {
             name: value
@@ -318,8 +300,6 @@ class MainMemoryDatabase:
                     morsel_size=config.morsel_size,
                     pool=config.pool,
                     retry_attempts=config.retry_attempts,
-                    retry_timeout=config.retry_timeout,
-                    retry_backoff=config.retry_backoff,
                 )
             else:
                 self.executor = BatchExecutor(self.catalog, self.result_cache)
@@ -441,8 +421,8 @@ class MainMemoryDatabase:
         ``config`` is a :class:`~repro.fault.FaultConfig`; alternatively
         pass ``seed`` plus a ``policies`` sequence of
         :class:`~repro.fault.FaultPolicy`, or a ``spec`` string in the
-        ``REPRO_FAULTS`` syntax.  The injector is activated
-        *process-wide* — fault hooks consult a module-level slot, the
+        fault spec syntax (:func:`~repro.fault.parse_fault_spec`).  The
+        injector is activated *process-wide* — fault hooks consult a module-level slot, the
         same contract as the observability hooks, so when disabled every
         hook is a single global load.  Called with nothing (or with a
         config carrying no policies), it deactivates fault injection
@@ -513,8 +493,6 @@ class MainMemoryDatabase:
         max_lag_records: int = None,
         batch_records: int = None,
         retry_attempts: int = None,
-        backoff=None,
-        heartbeat_timeout: float = None,
     ):
         """Establish a log-shipped warm replica (durable mode only).
 
@@ -523,10 +501,9 @@ class MainMemoryDatabase:
         pass its fields as keywords.  The replica bootstraps from the
         disk copy plus the accumulation log's unpropagated suffix, then
         stays current: every record the log device absorbs also ships,
-        in checksummed batches, with retry/backoff on every hop.  On
-        primary failure, :meth:`demote` (or a heartbeat timeout, or
-        observed worker kills via :meth:`check_failover`) promotes the
-        replica.  A partition quarantined by ``recover(partial=True)``
+        in checksummed batches, with retries on every hop.  On
+        primary failure, :meth:`demote` (or observed worker kills via
+        :meth:`check_failover`) promotes the replica.  A partition quarantined by ``recover(partial=True)``
         heals online from the replica via :meth:`heal_partitions`.
 
         Reconfiguring replaces the existing replica.  Returns the
@@ -542,8 +519,6 @@ class MainMemoryDatabase:
             "max_lag_records": max_lag_records,
             "batch_records": batch_records,
             "retry_attempts": retry_attempts,
-            "backoff": backoff,
-            "heartbeat_timeout": heartbeat_timeout,
         }
         given = {
             name: value
@@ -589,18 +564,13 @@ class MainMemoryDatabase:
         :class:`~repro.replication.HealStats`."""
         return self._require_replication().heal_quarantined()
 
-    def replication_heartbeat(self) -> None:
-        """Stamp the primary's liveness (see ``heartbeat_timeout``)."""
-        self._require_replication().heartbeat()
-
     def check_failover(self) -> bool:
-        """Run the failure detectors; True when this call promoted.
+        """Run the failure detector; True when this call promoted.
 
-        Checks the heartbeat window first, then the fault injector's
-        record of killed workers (the chaos lane's kill-primary signal).
+        Consults the fault injector's record of killed workers (the
+        chaos lane's kill-primary signal).
         """
-        coordinator = self._require_replication()
-        return coordinator.check() or coordinator.maybe_promote_on_faults()
+        return self._require_replication().maybe_promote_on_faults()
 
     def replication_state(self) -> Optional[Dict[str, Any]]:
         """Shipper/replica/coordinator state, or None when off."""

@@ -7,14 +7,14 @@ The subsystem has three parts:
   with per-point :class:`FaultPolicy` entries (probability, every-Nth,
   one-shot, bounded fires, latency);
 * :mod:`~repro.fault.config` — :class:`FaultConfig` and the
-  ``REPRO_FAULTS`` one-line spec parser;
+  one-line fault spec parser;
 * :mod:`~repro.fault.runtime` — the process-wide active-injector slot
   the engine's hooks consult.  When no injector is active every hook is
   a single global load returning None (the same zero-overhead contract
   as the observability hooks).
 
-Activate via ``db.configure_faults(seed=..., policies=[...])`` or the
-``REPRO_FAULTS`` environment variable; faults then surface as typed
+Activate via ``db.configure_faults(seed=..., policies=[...])`` or
+``db.configure_faults(spec=...)``; faults then surface as typed
 errors (:class:`~repro.errors.InjectedFaultError`,
 :class:`~repro.errors.CorruptImageError`,
 :class:`~repro.errors.TornWriteError`) or as degraded-path behaviour

@@ -1,16 +1,14 @@
-"""Shared exponential backoff with seeded jitter for every retry site.
+"""Exponential backoff with seeded jitter for restart's read retries.
 
-Before this module each bounded-retry loop in the engine (restart's
-transient-read retry, the morsel scheduler's per-morsel retry, the
-replication shipper's per-hop retry) re-ran immediately at a fixed
-cadence.  :class:`BackoffPolicy` gives them one shared delay schedule:
-exponential growth from ``base`` by ``factor``, clamped at
-``max_delay``, with a deterministic jitter fraction derived from the
-policy seed and the attempt number — *not* from a shared RNG stream —
-so the delay sequence is a pure function of ``(seed, attempt)``.  Chaos
-replays under a fixed seed therefore sleep the exact same schedule no
-matter how retries from different subsystems interleave, and the fault
-injector's own RNG is never consumed.
+Restart's transient-read retry loop sleeps a :class:`BackoffPolicy`
+schedule between attempts (the morsel scheduler and the replication
+shipper retry immediately): exponential growth from ``base`` by
+``factor``, clamped at ``max_delay``, with a deterministic jitter
+fraction derived from the policy seed and the attempt number — *not*
+from a shared RNG stream — so the delay sequence is a pure function of
+``(seed, attempt)``.  Chaos replays under a fixed seed therefore sleep
+the exact same schedule, and the fault injector's own RNG is never
+consumed.
 
 The default policy (``base=0.0``) never sleeps: retries stay as fast as
 before, tests stay fast, and the zero-overhead contract holds — a

@@ -1,11 +1,10 @@
-"""Fault-injection configuration and the ``REPRO_FAULTS`` spec syntax.
+"""Fault-injection configuration and the fault spec syntax.
 
-``db.configure_faults`` accepts a :class:`FaultConfig`; the
-``REPRO_FAULTS`` environment variable carries the same information as a
-compact one-line spec so CI lanes and chaos scripts can switch faults
-on without code changes::
+``db.configure_faults`` accepts a :class:`FaultConfig`, or the same
+information as a compact one-line spec (``configure_faults(spec=...)``)
+so chaos scripts can switch faults on with a single string::
 
-    REPRO_FAULTS="seed=42;pool.worker:action=error,prob=0.2,max=3;disk.read:action=corrupt,every=5"
+    seed=42;pool.worker:action=error,prob=0.2,max=3;disk.read:action=corrupt,every=5
 
 Grammar: ``;``-separated clauses.  A ``seed=N`` clause seeds the RNG;
 a ``backoff:<key>=<value>,...`` clause builds the shared retry
@@ -61,10 +60,9 @@ _BACKOFF_ALIASES = {
 class FaultConfig:
     """Seed plus the policy set; an empty policy set means "disabled".
 
-    ``backoff`` optionally carries the shared retry schedule the
-    degraded paths (restart's transient-read retry, the replication
-    shipper) sleep between attempts; ``None`` keeps the immediate-retry
-    default.
+    ``backoff`` optionally carries the retry schedule restart's
+    transient-read retry sleeps between attempts; ``None`` keeps the
+    immediate-retry default.
     """
 
     seed: int = 0
@@ -117,7 +115,7 @@ def _parse_backoff_clause(body: str, injector_seed: int) -> BackoffPolicy:
 
 
 def parse_fault_spec(spec: str) -> FaultConfig:
-    """Parse a ``REPRO_FAULTS`` spec string into a :class:`FaultConfig`."""
+    """Parse a fault spec string into a :class:`FaultConfig`."""
     seed = 0
     policies = []
     backoff_body: Optional[str] = None

@@ -5,9 +5,8 @@ dispatch), so they follow the same zero-overhead contract as the
 observability hooks in :mod:`repro.obs.runtime`: when no injector is
 active every hook is ``runtime.active()`` — one module-global load —
 returning ``None``, and execution proceeds untouched.  No allocation,
-no RNG draw, no counter activity.  ``db.configure_faults()`` (or the
-``REPRO_FAULTS`` environment variable) activates an injector
-process-wide; configuring with nothing deactivates it.
+no RNG draw, no counter activity.  ``db.configure_faults()`` activates
+an injector process-wide; configuring with nothing deactivates it.
 """
 
 from __future__ import annotations

@@ -184,11 +184,6 @@ class Index(ABC):
             return 0.0
         return self.storage_bytes() / (self._count * POINTER_BYTES)
 
-    def _check_duplicate(self, key: Any) -> None:
-        """Raise if inserting ``key`` would violate uniqueness."""
-        if self.unique and self.search(key) is not None:
-            raise DuplicateKeyError(f"{self.kind}: duplicate key {key!r}")
-
     def _missing(self, key: Any) -> KeyNotFoundError:
         return KeyNotFoundError(f"{self.kind}: key {key!r} not found")
 

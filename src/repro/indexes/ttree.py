@@ -44,7 +44,6 @@ from repro.indexes.base import (
     CONTROL_BYTES,
     POINTER_BYTES,
     OrderedIndex,
-    compare_keys,
 )
 from repro.instrument import count_alloc, count_compare, count_move, count_traverse
 
@@ -63,10 +62,6 @@ class _TNode:
         self.right: Optional[_TNode] = None
         self.parent: Optional[_TNode] = None
         self.height = 1
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None and self.right is None
 
     @property
     def is_internal(self) -> bool:

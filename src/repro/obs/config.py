@@ -10,7 +10,7 @@ and identical operation counts.  Everything below is opt-in via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import ConfigError
@@ -41,7 +41,8 @@ DEFAULT_WORKER_MORSEL_BUCKETS: Tuple[float, ...] = (
 
 @dataclass
 class ObservabilityConfig:
-    """Enable flags and sizing for tracing, metrics, and the slow log."""
+    """Enable flags for tracing, metrics, the slow log and the flight
+    recorder.  Histogram buckets are the ``DEFAULT_*_BUCKETS`` above."""
 
     #: Build a span tree (parse -> plan -> per-operator execute) per query.
     tracing: bool = True
@@ -50,32 +51,11 @@ class ObservabilityConfig:
     #: Total-ops threshold at or above which a statement lands in the
     #: slow-query log; ``None`` disables the ops trigger.
     slow_query_ops: Optional[int] = 10_000
-    #: Wall-clock threshold (seconds) at or above which a statement lands
-    #: in the slow-query log, independently of the ops trigger; ``None``
-    #: (the default) disables the wall-clock trigger.  The ops threshold
-    #: is the machine-independent trigger; this one catches statements
-    #: that are slow for physical reasons the op counts cannot see
-    #: (pool round-trips, injected latency faults, cold caches).
-    slow_query_seconds: Optional[float] = None
     #: How many completed root spans (recent queries) the tracer retains.
     max_recent_spans: int = 32
-    #: How many slow-query entries are retained (oldest evicted first).
-    max_slow_queries: int = 128
     #: Keep a bounded ring of per-statement flight records plus
     #: per-fingerprint latency/ops histograms (requires ``metrics``).
     flight_recorder: bool = True
-    #: How many flight records the ring retains (oldest evicted first).
-    max_flight_records: int = 256
-    #: Query latency histogram buckets (seconds).
-    latency_buckets: Tuple[float, ...] = field(
-        default=DEFAULT_LATENCY_BUCKETS
-    )
-    #: Ops-per-query histogram buckets (operation counts).
-    ops_buckets: Tuple[float, ...] = field(default=DEFAULT_OPS_BUCKETS)
-    #: Per-worker morsel wall-clock histogram buckets (seconds).
-    worker_morsel_buckets: Tuple[float, ...] = field(
-        default=DEFAULT_WORKER_MORSEL_BUCKETS
-    )
 
     def __post_init__(self) -> None:
         if self.slow_query_ops is not None and (
@@ -87,31 +67,15 @@ class ObservabilityConfig:
                 f"slow_query_ops must be a non-negative integer or None, "
                 f"got {self.slow_query_ops!r}"
             )
-        if self.slow_query_seconds is not None and (
-            not isinstance(self.slow_query_seconds, (int, float))
-            or isinstance(self.slow_query_seconds, bool)
-            or self.slow_query_seconds < 0
+        if (
+            not isinstance(self.max_recent_spans, int)
+            or isinstance(self.max_recent_spans, bool)
+            or self.max_recent_spans < 1
         ):
             raise ConfigError(
-                f"slow_query_seconds must be a non-negative number or "
-                f"None, got {self.slow_query_seconds!r}"
+                f"max_recent_spans must be a positive integer, "
+                f"got {self.max_recent_spans!r}"
             )
-        for name in ("max_recent_spans", "max_slow_queries",
-                     "max_flight_records"):
-            value = getattr(self, name)
-            if (
-                not isinstance(value, int)
-                or isinstance(value, bool)
-                or value < 1
-            ):
-                raise ConfigError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
-        for name in ("latency_buckets", "ops_buckets",
-                     "worker_morsel_buckets"):
-            buckets = getattr(self, name)
-            if not buckets:
-                raise ConfigError(f"{name} needs at least one bucket bound")
 
     @property
     def enabled(self) -> bool:

@@ -8,11 +8,9 @@ it.  The facade owns:
 * a :class:`~repro.obs.span.SpanTracer` (when ``config.tracing``),
 * a :class:`~repro.obs.metrics.MetricsRegistry` (when ``config.metrics``)
   pre-wired with the standard query metrics,
-* a bounded slow-query log with two independent triggers: the total-ops
-  threshold (the machine-independent analogue of a latency-based slow
-  log, in the same spirit as the paper's Section 3.1 operation-count
-  validation) and an optional wall-clock threshold for slowness the op
-  counts cannot see (pool round-trips, injected latency), and
+* a bounded slow-query log triggered by a total-ops threshold (the
+  machine-independent analogue of a latency-based slow log, in the same
+  spirit as the paper's Section 3.1 operation-count validation), and
 * a :class:`~repro.obs.recorder.FlightRecorder` (when
   ``config.flight_recorder`` with metrics on) retaining per-statement
   records and per-fingerprint p50/p95/p99 latency profiles.
@@ -27,25 +25,27 @@ from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional
 
 from repro.instrument import OpCounters, counters_scope
-from repro.obs.config import ObservabilityConfig
+from repro.obs.config import (
+    DEFAULT_LATENCY_BUCKETS,
+    DEFAULT_OPS_BUCKETS,
+    ObservabilityConfig,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import NULL_SPAN
 from repro.obs.span import Span, SpanTracer
 
+#: Slow-query entries retained (oldest evicted first).
+SLOW_LOG_CAPACITY = 128
+
 
 @dataclass(frozen=True)
 class SlowQueryEntry:
-    """One statement that crossed a slow-query threshold.
-
-    ``trigger`` names which threshold fired: ``"ops"`` (total-ops),
-    ``"time"`` (wall-clock), or ``"ops+time"`` (both).
-    """
+    """One statement at or above the slow-query ops threshold."""
 
     sql: str
     total_ops: int
     elapsed: float
     unix_time: float
-    trigger: str = "ops"
 
 
 class Observability:
@@ -61,15 +61,11 @@ class Observability:
         self.metrics: Optional[MetricsRegistry] = (
             MetricsRegistry() if self.config.metrics else None
         )
-        self.slow_queries: deque = deque(maxlen=self.config.max_slow_queries)
+        self.slow_queries: deque = deque(maxlen=SLOW_LOG_CAPACITY)
         from repro.obs.recorder import FlightRecorder
 
         self.recorder: Optional[FlightRecorder] = (
-            FlightRecorder(
-                self.config.max_flight_records,
-                self.config.latency_buckets,
-                self.config.ops_buckets,
-            )
+            FlightRecorder()
             if self.config.flight_recorder and self.config.metrics
             else None
         )
@@ -132,12 +128,12 @@ class Observability:
             ).inc()
             self.metrics.histogram(
                 "query_latency_seconds",
-                self.config.latency_buckets,
+                DEFAULT_LATENCY_BUCKETS,
                 "Wall-clock statement latency",
             ).observe(elapsed)
             self.metrics.histogram(
                 "query_ops",
-                self.config.ops_buckets,
+                DEFAULT_OPS_BUCKETS,
                 "Machine-independent operations per statement",
             ).observe(total_ops)
         if self.recorder is not None:
@@ -148,25 +144,15 @@ class Observability:
                 engine=self.context.get("engine", "tuple"),
                 workers=self.context.get("workers", 1),
             )
-        ops_threshold = self.config.slow_query_ops
-        time_threshold = self.config.slow_query_seconds
-        slow_ops = ops_threshold is not None and total_ops >= ops_threshold
-        slow_time = time_threshold is not None and elapsed >= time_threshold
-        if slow_ops or slow_time:
-            trigger = (
-                "ops+time" if slow_ops and slow_time
-                else ("ops" if slow_ops else "time")
-            )
+        threshold = self.config.slow_query_ops
+        if threshold is not None and total_ops >= threshold:
             self.slow_queries.append(
-                SlowQueryEntry(
-                    sql, total_ops, elapsed, time.time(), trigger
-                )
+                SlowQueryEntry(sql, total_ops, elapsed, time.time())
             )
             if self.metrics is not None:
                 self.metrics.counter(
                     "slow_queries_total",
-                    "Statements at or above a slow-query threshold",
-                    trigger=trigger,
+                    "Statements at or above the slow-query ops threshold",
                 ).inc()
 
     def metric_inc(self, name: str, amount: int = 1, **labels: Any) -> None:

@@ -7,7 +7,7 @@ Observability` (with ``config.flight_recorder``) appends one
 :class:`FlightRecord` — SQL fingerprint, the engine/worker configuration
 it ran under, wall-clock, total Section-3.1 ops, and which reuse layer
 (if any) served it — to a ring of the most recent
-``max_flight_records`` statements, and folds the measurement into a
+``capacity`` (256) statements, and folds the measurement into a
 per-fingerprint :class:`StatementProfile` whose fixed-bucket histograms
 answer p50/p95/p99 queries (the measurement side of the forecast-vs.-
 observed loop the ROADMAP's serving tier needs).
@@ -25,7 +25,7 @@ import hashlib
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.instrument import OpCounters
 from repro.obs.config import (
@@ -94,20 +94,14 @@ class StatementProfile:
         "latency", "ops", "cache_outcomes",
     )
 
-    def __init__(
-        self,
-        fingerprint: str,
-        sql: str,
-        latency_buckets: Sequence[float],
-        ops_buckets: Sequence[float],
-    ) -> None:
+    def __init__(self, fingerprint: str, sql: str) -> None:
         self.fingerprint = fingerprint
         self.sql = sql
         self.calls = 0
         self.total_seconds = 0.0
         self.total_ops = 0
-        self.latency = Histogram(latency_buckets)
-        self.ops = Histogram(ops_buckets)
+        self.latency = Histogram(DEFAULT_LATENCY_BUCKETS)
+        self.ops = Histogram(DEFAULT_OPS_BUCKETS)
         self.cache_outcomes: Dict[str, int] = {}
 
     def observe(self, elapsed: float, total_ops: int, cache: str) -> None:
@@ -147,18 +141,11 @@ class FlightRecorder:
     fingerprint, bounded by the workload's count of statement shapes).
     """
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        latency_buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-        ops_buckets: Sequence[float] = DEFAULT_OPS_BUCKETS,
-    ) -> None:
+    def __init__(self, capacity: int = 256) -> None:
         self.records: deque = deque(maxlen=capacity)
-        self.latency_buckets = tuple(latency_buckets)
-        self.ops_buckets = tuple(ops_buckets)
         self._profiles: Dict[str, StatementProfile] = {}
         #: Workload-wide latency histogram (every statement, all shapes).
-        self.overall_latency = Histogram(latency_buckets)
+        self.overall_latency = Histogram(DEFAULT_LATENCY_BUCKETS)
 
     def record(
         self,
@@ -186,9 +173,7 @@ class FlightRecorder:
         self.records.append(record)
         profile = self._profiles.get(fingerprint)
         if profile is None:
-            profile = StatementProfile(
-                fingerprint, shape, self.latency_buckets, self.ops_buckets
-            )
+            profile = StatementProfile(fingerprint, shape)
             self._profiles[fingerprint] = profile
         profile.observe(elapsed, total_ops, cache)
         self.overall_latency.observe(elapsed)
@@ -223,4 +208,4 @@ class FlightRecorder:
         """Forget every record and profile."""
         self.records.clear()
         self._profiles.clear()
-        self.overall_latency = Histogram(self.latency_buckets)
+        self.overall_latency = Histogram(DEFAULT_LATENCY_BUCKETS)

@@ -9,8 +9,7 @@ telemetry) into an aligned plain-text report:
   p50/p95/p99 latency, and the reuse-layer outcome mix;
 * **tail latency** — workload-wide p50/p95/p99 over every recorded
   statement;
-* **slow queries** — the most recent slow-log entries with which
-  threshold (ops, time, or both) fired;
+* **slow queries** — the most recent slow-log entries;
 * **per-worker telemetry** — morsels, busy/queue-wait seconds, and
   deref-cache hit rates per worker pid.
 
@@ -118,14 +117,13 @@ def render_report(
         lines.append(f"Slow queries (most recent {min(len(slow), top)}):")
         rows = [
             [
-                entry.trigger,
                 f"{entry.total_ops:,}",
                 _fmt_ms(entry.elapsed),
                 _clip(entry.sql),
             ]
             for entry in slow[-top:]
         ]
-        lines.extend(_table(["trigger", "ops", "time", "sql"], rows))
+        lines.extend(_table(["ops", "time", "sql"], rows))
         lines.append("")
 
     workers = (scheduler_stats or {}).get("workers") or {}

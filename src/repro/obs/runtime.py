@@ -72,3 +72,11 @@ def span(name: str, kind: str = "phase", **attrs: Any):
     if act is None:
         return NULL_SPAN
     return act.span(name, kind, **attrs)
+
+
+def metric_inc(name: str, amount: int = 1, **labels: Any) -> None:
+    """Bump counter ``name`` on the active instance; a no-op when
+    ``amount`` is 0 or nothing is active."""
+    act = _active
+    if amount and act is not None:
+        act.metric_inc(name, amount, **labels)

@@ -42,18 +42,6 @@ class Span:
     # derived views
     # ------------------------------------------------------------------ #
 
-    def rows_in(self) -> Optional[int]:
-        """Summed output cardinality of child *operator* spans, or None
-        when no child reports one (leaf operators read base relations)."""
-        inputs = [
-            child.rows_out
-            for child in self.children
-            if child.kind == "operator" and child.rows_out is not None
-        ]
-        if not inputs:
-            return None
-        return sum(inputs)
-
     def self_counters(self) -> OpCounters:
         """Exclusive counts: this span's work minus its children's."""
         merged = OpCounters()

@@ -8,7 +8,7 @@ results — the paper's central storage discipline.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple, Union
 
 from repro.errors import PlanError
 from repro.obs import runtime as obs_runtime
@@ -150,8 +150,10 @@ def plan_descriptor(plan: PlanNode, catalog: Catalog) -> ResultDescriptor:
     raise PlanError(f"unknown plan node {type(plan).__name__}")
 
 
-def lookup_index(relation: Relation, node: IndexLookupNode):
-    """The index an exact-match lookup node probes.
+def lookup_index(
+    relation: Relation, node: Union[IndexLookupNode, IndexMultiLookupNode]
+):
+    """The index an exact-match (or multi-key) lookup node probes.
 
     Shared by the executor and by the lowered point operations of
     :mod:`repro.sql.template`, so both resolve ``prefer`` the same way.
@@ -268,16 +270,7 @@ class Executor:
     ) -> TemporaryList:
         """Union of exact lookups, de-duplicated by tuple pointer."""
         relation = self.catalog.relation(node.relation_name)
-        index = None
-        if node.prefer in (None, "hash"):
-            index = relation.index_on(node.field_name, ordered=False)
-        if index is None and node.prefer in (None, "tree"):
-            index = relation.index_on(node.field_name, ordered=True)
-        if index is None:
-            raise PlanError(
-                f"{node.relation_name}.{node.field_name} has no index for "
-                "a multi-lookup"
-            )
+        index = lookup_index(relation, node)
         refs = []
         seen = set()
         for key in node.keys:
@@ -303,9 +296,7 @@ class Executor:
             )
             if probe is not None:
                 probe.rows_out = len(refs)
-        obs = obs_runtime.active()
-        if obs is not None:
-            obs.metric_inc("index_probes_total", kind=index.kind)
+        obs_runtime.metric_inc("index_probes_total", kind=index.kind)
         return TemporaryList.from_refs(relation, refs)
 
     # ------------------------------------------------------------------ #

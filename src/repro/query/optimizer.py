@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import PlanError
 from repro.instrument import count_event
 from repro.query.plan import (
     REF_COLUMN,
@@ -33,7 +32,6 @@ from repro.query.plan import (
     IndexRangeNode,
     JoinNode,
     PlanNode,
-    ProjectNode,
     ScanNode,
 )
 from repro.query.predicates import (
@@ -186,18 +184,6 @@ def forecast_precomputed_join(outer_rows: float, out_rows: float) -> ForecastOps
     """Forecast for :func:`repro.query.join.precomputed_join` — one
     pointer extraction per outer tuple, one move per produced pair."""
     return ForecastOps(traversals=outer_rows, moves=out_rows)
-
-
-def forecast_nested_loops_join(
-    outer_rows: float, inner_rows: float, out_rows: float
-) -> ForecastOps:
-    """Forecast for :func:`repro.query.join.nested_loops_join` — the
-    O(N^2) strawman; used for forecast sanity checks, never chosen."""
-    return ForecastOps(
-        comparisons=outer_rows * inner_rows,
-        traversals=outer_rows + outer_rows * inner_rows,
-        moves=out_rows,
-    )
 
 
 @dataclass(frozen=True)

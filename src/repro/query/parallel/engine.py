@@ -89,8 +89,6 @@ class ParallelBatchExecutor(BatchExecutor):
         morsel_size: int = DEFAULT_MORSEL_SIZE,
         pool: str = "process",
         retry_attempts: int = DEFAULT_RETRY_ATTEMPTS,
-        retry_timeout: float = 0.0,
-        retry_backoff=None,
     ) -> None:
         super().__init__(catalog, result_cache)
         if workers < 2:
@@ -105,8 +103,6 @@ class ParallelBatchExecutor(BatchExecutor):
             self.workers,
             pool,
             retry_attempts=retry_attempts,
-            retry_timeout=retry_timeout,
-            retry_backoff=retry_backoff,
         )
 
     def close(self) -> None:

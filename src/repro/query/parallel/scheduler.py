@@ -10,9 +10,9 @@ workers are safe for the same reason: an unchanged fingerprint means
 logically unchanged data.
 
 **Self-healing.**  Failures are handled per morsel, not per run: a
-morsel whose future fails (a worker exception, a died worker process, a
-gather timeout) is retried through the pool up to ``retry_attempts``
-total runs, with the pool re-forked first whenever it broke.  A morsel
+morsel whose future fails (a worker exception or a died worker process)
+is retried through the pool up to ``retry_attempts`` total runs, with
+the pool re-forked first whenever it broke.  A morsel
 that exhausts the pool budget is *quarantined*: only it re-executes
 inline, while every already-gathered result is kept.  If even the
 inline run fails, the query dies with a typed
@@ -38,11 +38,12 @@ import itertools
 import multiprocessing
 import pickle
 import time
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import InjectedFaultError, PoisonedMorselError
 from repro.fault import runtime as fault_runtime
 from repro.obs import runtime as obs_runtime
+from repro.obs.config import DEFAULT_WORKER_MORSEL_BUCKETS
 from repro.query.parallel import tasks
 from repro.query.parallel.transport import (
     TRACE_SPANS,
@@ -86,14 +87,6 @@ def _wire_nbytes(message: Any) -> int:
     )
 
 
-def _metric(name: str, amount: int = 1, **labels) -> None:
-    """Bump a scheduler metric when observability is active."""
-    if amount:
-        obs = obs_runtime.active()
-        if obs is not None:
-            obs.metric_inc(name, amount, **labels)
-
-
 class MorselScheduler:
     """Dispatches morsel tasks for one catalog, merging nothing itself.
 
@@ -109,34 +102,13 @@ class MorselScheduler:
         workers: int,
         pool_mode: str = "process",
         retry_attempts: int = DEFAULT_RETRY_ATTEMPTS,
-        retry_timeout: float = 0.0,
-        verify_retries: Optional[bool] = None,
-        retry_backoff=None,
     ) -> None:
         self.catalog = catalog
         self.workers = int(workers)
         self.pool_mode = pool_mode
-        #: Measure per-morsel pipe bytes even without observability
-        #: (benchmarks flip this; it pickles every envelope a second
-        #: time, so it is not the default).
-        self.measure_bytes = False
         #: Pool runs per morsel before quarantine (first run included).
+        #: Retries re-dispatch immediately.
         self.retry_attempts = max(1, int(retry_attempts))
-        #: Seconds to wait for one morsel result; 0 waits forever.
-        self.retry_timeout = float(retry_timeout)
-        #: Slept between retry rounds (pooled) / attempts (inline).  The
-        #: default NO_BACKOFF retries immediately, exactly the historic
-        #: fixed-delay-of-zero behaviour.
-        from repro.fault.backoff import NO_BACKOFF
-
-        self.retry_backoff = (
-            retry_backoff if retry_backoff is not None else NO_BACKOFF
-        )
-        #: Re-run successfully retried morsels inline and assert the
-        #: results and packed counts are identical (the counter-merge
-        #: determinism contract).  None = automatic: on exactly when
-        #: fault injection is active.
-        self.verify_retries = verify_retries
         self.token = next(_token_counter)
         tasks.register_catalog(self.token, catalog)
         self._closed = False
@@ -158,8 +130,8 @@ class MorselScheduler:
             "morsel_retries": 0,
             "quarantined_morsels": 0,
             "verified_retries": 0,
-            # Pipe traffic, measured only when observability is active
-            # or ``measure_bytes`` is set: what crossed the pool pipe.
+            # Pipe traffic, measured only when observability is active:
+            # what crossed the pool pipe.
             "dispatch_bytes": 0,
             "result_bytes": 0,
         }
@@ -226,7 +198,7 @@ class MorselScheduler:
         pool = self._ensure_pool()
         if pool is not None:
             self.stats["pool_reforks"] += 1
-            _metric("pool_reforks_total")
+            obs_runtime.metric_inc("pool_reforks_total")
         return pool
 
     def _discard_pool(self) -> None:
@@ -264,12 +236,7 @@ class MorselScheduler:
     def _note_fallback(self, code: str, reason: str) -> None:
         self.fallback_code = code
         self.fallback_reason = reason
-        _metric("scheduler_fallback_total", reason=code)
-
-    def _verify_retries_active(self) -> bool:
-        if self.verify_retries is None:
-            return fault_runtime.active() is not None
-        return bool(self.verify_retries)
+        obs_runtime.metric_inc("scheduler_fallback_total", reason=code)
 
     def _worker_fault(self, kind: str, index: int) -> Optional[str]:
         """The parent-side ``pool.worker`` decision for one dispatch.
@@ -345,8 +312,7 @@ class MorselScheduler:
             "payload_bytes": {},
         }
         mode = self._trace_mode()
-        measure = bool(mode) or self.measure_bytes
-        if measure:
+        if mode:
             self._measure_dispatch(kind, payloads)
         self.stats["morsels"] += len(payloads)
         results: Optional[List[Tuple[Any, tuple]]] = None
@@ -360,9 +326,8 @@ class MorselScheduler:
                 self._run_inline_one(kind, index, payload, mode=mode)
                 for index, payload in enumerate(payloads)
             ]
-        if measure:
-            self._measure_results(results)
         if mode:
+            self._measure_results(results)
             self._absorb_telemetry(kind, results)
         return results
 
@@ -385,7 +350,9 @@ class MorselScheduler:
             nbytes = _wire_nbytes((kind, payload))
             per_morsel[index] = nbytes
             self.stats["dispatch_bytes"] += nbytes
-            _metric("transport_bytes_total", nbytes, path="dispatch")
+            obs_runtime.metric_inc(
+                "transport_bytes_total", nbytes, path="dispatch"
+            )
 
     def _measure_results(
         self, results: List[Tuple[Any, tuple]]
@@ -397,7 +364,9 @@ class MorselScheduler:
             nbytes = _wire_nbytes(tuple(item[:2]))
             per_morsel[index] = per_morsel.get(index, 0) + nbytes
             self.stats["result_bytes"] += nbytes
-            _metric("transport_bytes_total", nbytes, path="result")
+            obs_runtime.metric_inc(
+                "transport_bytes_total", nbytes, path="result"
+            )
 
     # ------------------------------------------------------------------ #
     # telemetry absorption
@@ -421,9 +390,6 @@ class MorselScheduler:
         """
         obs = obs_runtime.active()
         metrics = obs.metrics if obs is not None else None
-        buckets = (
-            obs.config.worker_morsel_buckets if obs is not None else (1.0,)
-        )
         last_run = self.last_run or {}
         retries = last_run.get("retries", {})
         quarantined = last_run.get("quarantined", set())
@@ -465,7 +431,7 @@ class MorselScheduler:
                 ).inc()
                 metrics.histogram(
                     "worker_morsel_seconds",
-                    buckets,
+                    DEFAULT_WORKER_MORSEL_BUCKETS,
                     "Per-morsel wall-clock per worker process",
                     worker=pid,
                 ).observe(elapsed)
@@ -534,59 +500,59 @@ class MorselScheduler:
         pending = list(range(len(payloads)))
         retried_ok: List[int] = []
         quarantined: List[int] = []
-        timeout = self.retry_timeout or None
-        retry_round = 0
         while pending:
-            if retry_round:
-                # Between retry rounds, not before the first: the
-                # configured backoff paces re-dispatch of failed morsels.
-                self.retry_backoff.sleep(retry_round - 1)
-            retry_round += 1
-            futures: Dict[int, Any] = {}
-            pool_broke = False
-            for index in pending:
-                action = self._worker_fault(kind, index)
-                task_fn = {
-                    None: tasks.run_task,
-                    "error": tasks.injected_failure,
-                    "kill": tasks.worker_exit,
-                }[action]
-                try:
-                    # The dispatch stamp is taken per submit (retries
-                    # included) so queue wait measures this attempt's
-                    # time on the pool's queue, not the whole retry saga.
-                    futures[index] = pool.submit(
-                        task_fn,
-                        trace_request(
-                            kind, payloads[index], mode, index,
-                            time.monotonic(),
-                        ),
-                    )
-                except Exception:
-                    # submit() only fails when the pool itself is gone;
-                    # unsubmitted morsels simply stay pending.
-                    pool_broke = True
-                    break
+            actions = {
+                index: self._worker_fault(kind, index) for index in pending
+            }
+            # A killed worker breaks the whole pool, failing whichever
+            # siblings are still in flight.  Killed morsels therefore go
+            # in a second wave, once every sibling has gathered, so no
+            # sibling fails with them and the retries (and every later
+            # fault draw) replay exactly, whatever the timing.
+            waves = (
+                [i for i in pending if actions[i] != "kill"],
+                [i for i in pending if actions[i] == "kill"],
+            )
             failed: List[int] = []
-            for index in pending:
-                future = futures.get(index)
-                if future is None:
-                    failed.append(index)
-                    continue
-                try:
-                    results[index] = future.result(timeout=timeout)
-                    if attempts[index] > 0:
-                        retried_ok.append(index)
-                except concurrent.futures.TimeoutError:
-                    # The worker may be wedged on this morsel; give up
-                    # on the whole pool rather than on the morsel.
-                    future.cancel()
-                    pool_broke = True
-                    failed.append(index)
-                except Exception as exc:
-                    failed.append(index)
-                    if self._broken_pool_error(exc):
+            pool_broke = False
+            for wave in waves:
+                futures: Dict[int, Any] = {}
+                for index in wave:
+                    task_fn = {
+                        None: tasks.run_task,
+                        "error": tasks.injected_failure,
+                        "kill": tasks.worker_exit,
+                    }[actions[index]]
+                    try:
+                        # The dispatch stamp is taken per submit (retries
+                        # included) so queue wait measures this attempt's
+                        # time on the pool's queue, not the retry saga.
+                        futures[index] = pool.submit(
+                            task_fn,
+                            trace_request(
+                                kind, payloads[index], mode, index,
+                                time.monotonic(),
+                            ),
+                        )
+                    except Exception:
+                        # submit() only fails when the pool itself is
+                        # gone; unsubmitted morsels simply stay pending.
                         pool_broke = True
+                        break
+                for index in wave:
+                    future = futures.get(index)
+                    if future is None:
+                        failed.append(index)
+                        continue
+                    try:
+                        results[index] = future.result()
+                        if attempts[index] > 0:
+                            retried_ok.append(index)
+                    except Exception as exc:
+                        failed.append(index)
+                        if self._broken_pool_error(exc):
+                            pool_broke = True
+            failed.sort()
             pending = []
             for index in failed:
                 attempts[index] += 1
@@ -595,7 +561,7 @@ class MorselScheduler:
                 else:
                     pending.append(index)
                     self._note_retry(index)
-                    _metric("morsel_retries_total", kind=kind)
+                    obs_runtime.metric_inc("morsel_retries_total", kind=kind)
             if pool_broke:
                 if pending:
                     pool = self._refork_pool()
@@ -612,11 +578,14 @@ class MorselScheduler:
             self.stats["quarantined_morsels"] += 1
             if self.last_run is not None:
                 self.last_run["quarantined"].add(index)
-            _metric("quarantined_morsels_total", kind=kind)
+            obs_runtime.metric_inc("quarantined_morsels_total", kind=kind)
             results[index] = self._run_inline_one(
                 kind, index, payloads[index], budget=1, mode=mode
             )
-        if retried_ok and self._verify_retries_active():
+        # Re-run successfully retried morsels inline and assert the
+        # results and packed counts are identical (the counter-merge
+        # determinism contract) — exactly when fault injection is active.
+        if retried_ok and fault_runtime.active() is not None:
             self._verify_retried(kind, payloads, results, retried_ok)
         return results
 
@@ -653,7 +622,7 @@ class MorselScheduler:
                     f"contract is broken"
                 )
             self.stats["verified_retries"] += 1
-            _metric("verified_retries_total", kind=kind)
+            obs_runtime.metric_inc("verified_retries_total", kind=kind)
 
     # ------------------------------------------------------------------ #
     # inline path
@@ -688,7 +657,6 @@ class MorselScheduler:
                 last = exc
                 if attempt + 1 < remaining:
                     self._note_retry(index)
-                    _metric("morsel_retries_total", kind=kind)
-                    self.retry_backoff.sleep(attempt)
-        _metric("poisoned_morsels_total", kind=kind)
+                    obs_runtime.metric_inc("morsel_retries_total", kind=kind)
+        obs_runtime.metric_inc("poisoned_morsels_total", kind=kind)
         raise PoisonedMorselError(kind, index, repr(last)) from last

@@ -9,7 +9,6 @@ behaviour is unchanged unless a caller opts in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigError
 
@@ -55,10 +54,7 @@ class ExecutionConfig:
     the scheduler quarantines it (first run included); a quarantined
     morsel re-executes inline once, and only if that also fails does the
     query die with :class:`~repro.errors.PoisonedMorselError`.
-    ``retry_timeout`` (seconds) bounds the wait for one morsel result
-    from the pool — 0 waits forever.  ``retry_backoff`` (a
-    :class:`~repro.fault.BackoffPolicy`) paces re-dispatch between
-    retry rounds; ``None`` — the default — retries immediately.
+    Retries re-dispatch immediately.
     """
 
     engine: str = "tuple"
@@ -66,8 +62,6 @@ class ExecutionConfig:
     morsel_size: int = DEFAULT_MORSEL_SIZE
     pool: str = "process"
     retry_attempts: int = DEFAULT_RETRY_ATTEMPTS
-    retry_timeout: float = 0.0
-    retry_backoff: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
@@ -105,20 +99,3 @@ class ExecutionConfig:
                 f"retry_attempts must be a positive integer, "
                 f"got {self.retry_attempts!r}"
             )
-        if (
-            not isinstance(self.retry_timeout, (int, float))
-            or isinstance(self.retry_timeout, bool)
-            or self.retry_timeout < 0
-        ):
-            raise ConfigError(
-                f"retry_timeout must be a non-negative number, "
-                f"got {self.retry_timeout!r}"
-            )
-        if self.retry_backoff is not None:
-            from repro.fault.backoff import BackoffPolicy
-
-            if not isinstance(self.retry_backoff, BackoffPolicy):
-                raise ConfigError(
-                    f"retry_backoff must be a BackoffPolicy or None, "
-                    f"got {self.retry_backoff!r}"
-                )

@@ -30,13 +30,6 @@ from repro.recovery.framing import HEADER_SIZE, frame, unframe
 PartitionKey = Tuple[str, int]
 
 
-def _checksum_metric(device: str, kind: str) -> None:
-    """Count one detected integrity failure when observability is on."""
-    obs = obs_runtime.active()
-    if obs is not None:
-        obs.metric_inc("checksum_failures_total", device=device, kind=kind)
-
-
 class SimulatedDisk:
     """A block store of checksum-framed partition images with I/O
     accounting."""
@@ -108,7 +101,11 @@ class SimulatedDisk:
         try:
             image = unframe(framed, context)
         except RecoveryError as exc:
-            _checksum_metric("disk", type(exc).__name__)
+            obs_runtime.metric_inc(
+                "checksum_failures_total",
+                device="disk",
+                kind=type(exc).__name__,
+            )
             raise
         with self._mutex:
             self.bytes_read += len(image)

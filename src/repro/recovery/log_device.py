@@ -27,14 +27,6 @@ from repro.storage.partition import Partition
 PartitionKey = Tuple[str, int]
 
 
-def _metric(name: str, amount: int, **labels) -> None:
-    """Bump a log-device metric when observability is active."""
-    if amount:
-        obs = obs_runtime.active()
-        if obs is not None:
-            obs.metric_inc(name, amount, **labels)
-
-
 def apply_record(partition: Partition, record: LogRecord) -> None:
     """Replay one physical log record against a partition image.
 
@@ -50,13 +42,11 @@ def apply_record(partition: Partition, record: LogRecord) -> None:
     try:
         verify_record(record)
     except RecoveryError:
-        obs = obs_runtime.active()
-        if obs is not None:
-            obs.metric_inc(
-                "checksum_failures_total",
-                device="log",
-                kind="CorruptLogRecordError",
-            )
+        obs_runtime.metric_inc(
+            "checksum_failures_total",
+            device="log",
+            kind="CorruptLogRecordError",
+        )
         raise
     payload = record.payload
     if record.kind == "insert":
@@ -122,23 +112,13 @@ class LogDevice:
                 key = (record.relation, record.partition_id)
                 self._accumulation.setdefault(key, []).append(record)
             self.records_absorbed += len(records)
-        _metric("log_records_absorbed_total", len(records))
+        obs_runtime.metric_inc("log_records_absorbed_total", len(records))
         if records and self._sinks:
             # Replication taps the accumulation log here: every record
             # that enters it is also offered to each registered sink.
             for sink in list(self._sinks):
                 sink(records)
         return len(records)
-
-    def ensure_base_image(self, relation: str, partition_id: int) -> None:
-        """Create an empty base image for a brand-new partition."""
-        if not self.disk.has_partition(relation, partition_id):
-            # An empty partition image; its config defaults match the
-            # relation's because replay re-creates content, not sizing.
-            raise RecoveryError(
-                f"no base image for {relation}[{partition_id}]; "
-                "checkpoint the partition first"
-            )
 
     def propagate(self, max_partitions: Optional[int] = None) -> int:
         """Apply accumulated records to the disk copy.
@@ -194,8 +174,8 @@ class LogDevice:
             raise
         with self._mutex:
             self.records_propagated += applied
-        _metric("log_records_propagated_total", applied)
-        _metric("log_partition_writes_total", written)
+        obs_runtime.metric_inc("log_records_propagated_total", applied)
+        obs_runtime.metric_inc("log_partition_writes_total", written)
         return applied
 
     # ------------------------------------------------------------------ #
@@ -265,8 +245,10 @@ class LogDevice:
                     (relation, partition_id), []
                 ).extend(records)
             raise
-        _metric("log_restart_merges_total", 1)
-        _metric("log_restart_records_merged_total", len(records))
+        obs_runtime.metric_inc("log_restart_merges_total", 1)
+        obs_runtime.metric_inc(
+            "log_restart_records_merged_total", len(records)
+        )
         if records:
             # The memory copy is now newer than the disk image; write the
             # merged image back so the disk copy converges too.

@@ -47,14 +47,6 @@ PartitionKey = Tuple[str, int]
 DEFAULT_READ_ATTEMPTS = 2
 
 
-def _metric(name: str, amount: int = 1, **labels) -> None:
-    """Bump a recovery metric when observability is active."""
-    if amount:
-        obs = obs_runtime.active()
-        if obs is not None:
-            obs.metric_inc(name, amount, **labels)
-
-
 @dataclass
 class RestartStats:
     """What one restart did, in the paper's units (partitions = tracks)."""
@@ -119,21 +111,6 @@ class RecoveryManager:
     # ------------------------------------------------------------------ #
     # checkpointing
     # ------------------------------------------------------------------ #
-
-    def checkpoint_partition(self, relation_name: str, partition_id: int) -> None:
-        """Write one partition's current image to the disk copy.
-
-        Committed records still queued for this partition are discarded:
-        the fresh image already contains their effects, and replaying
-        them on top of it would corrupt the copy.
-        """
-        relation = self.catalog.relation(relation_name)
-        partition = relation.partition(partition_id)
-        self.log_device.absorb()
-        self.disk.write_partition(
-            relation_name, partition_id, partition.to_bytes()
-        )
-        self.log_device.discard_pending(relation_name, partition_id)
 
     def checkpoint_all(self) -> int:
         """Full checkpoint: every partition of every relation.
@@ -267,7 +244,7 @@ class RecoveryManager:
                 last_error = exc
                 if attempt + 1 < self.read_attempts:
                     stats.read_retries += 1
-                    _metric(
+                    obs_runtime.metric_inc(
                         "recovery_read_retries_total",
                         relation=relation_name,
                     )
@@ -279,7 +256,7 @@ class RecoveryManager:
                 ((relation_name, partition_id), str(last_error))
             )
             relation.mark_quarantined(partition_id, str(last_error))
-            _metric(
+            obs_runtime.metric_inc(
                 "recovery_quarantined_partitions_total",
                 relation=relation_name,
             )

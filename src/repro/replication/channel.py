@@ -24,7 +24,7 @@ scheduler uses for ``pool.worker``.
 from __future__ import annotations
 
 import multiprocessing
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.errors import ReplicationError, ReplicaUnavailableError
 from repro.query.parallel import shm
@@ -177,20 +177,3 @@ class ProcessChannel:
         if self._proc.is_alive():  # pragma: no cover - wedged replica
             self._proc.terminate()
             self._proc.join(timeout=5.0)
-
-
-def make_channel(
-    mode: str,
-    applier: Optional[ReplicaApplier] = None,
-    bootstrap: Optional[Dict[str, Any]] = None,
-    use_shm: bool = False,
-):
-    """Channel factory keyed by :data:`~repro.replication.config.CHANNEL_MODES`."""
-    if mode == "process":
-        return ProcessChannel(bootstrap or {}, use_shm=use_shm)
-    return InlineChannel(
-        applier
-        if applier is not None
-        else ReplicaApplier.from_bootstrap(bootstrap or {}),
-        use_shm=use_shm,
-    )

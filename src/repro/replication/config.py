@@ -11,10 +11,8 @@ way); explicit ``configure_replication`` calls still override.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigError
-from repro.fault.backoff import BackoffPolicy
 
 #: Where the replica applier runs.  ``inline`` models the replica
 #: in-process (the same way :class:`~repro.recovery.disk.SimulatedDisk`
@@ -43,15 +41,11 @@ DEFAULT_SHIP_ATTEMPTS = 3
 
 @dataclass(frozen=True)
 class ReplicationConfig:
-    """How the warm replica is fed and when failover triggers.
+    """How the warm replica is fed.
 
     ``max_lag_records`` is the bounded apply-lag watermark; crossing it
-    auto-ships.  ``retry_attempts`` bounds each shipping hop, with
-    ``backoff`` (a :class:`~repro.fault.BackoffPolicy`; None means
-    retry immediately) slept between attempts.  ``heartbeat_timeout``
-    > 0 arms :meth:`FailoverCoordinator.check`: a primary that has not
-    called ``db.replication_heartbeat()`` within the window is treated
-    as failed and the replica promotes.
+    auto-ships.  ``retry_attempts`` bounds each shipping hop; attempts
+    follow one another immediately.
     """
 
     channel: str = "inline"
@@ -59,8 +53,6 @@ class ReplicationConfig:
     max_lag_records: int = DEFAULT_MAX_LAG_RECORDS
     batch_records: int = DEFAULT_BATCH_RECORDS
     retry_attempts: int = DEFAULT_SHIP_ATTEMPTS
-    backoff: Optional[BackoffPolicy] = None
-    heartbeat_timeout: float = 0.0
 
     def __post_init__(self) -> None:
         if self.channel not in CHANNEL_MODES:
@@ -93,20 +85,4 @@ class ReplicationConfig:
             raise ConfigError(
                 f"retry_attempts must be a positive integer, "
                 f"got {self.retry_attempts!r}"
-            )
-        if self.backoff is not None and not isinstance(
-            self.backoff, BackoffPolicy
-        ):
-            raise ConfigError(
-                f"backoff must be a BackoffPolicy or None, "
-                f"got {self.backoff!r}"
-            )
-        if (
-            not isinstance(self.heartbeat_timeout, (int, float))
-            or isinstance(self.heartbeat_timeout, bool)
-            or self.heartbeat_timeout < 0
-        ):
-            raise ConfigError(
-                f"heartbeat_timeout must be a non-negative number, "
-                f"got {self.heartbeat_timeout!r}"
             )

@@ -15,10 +15,10 @@ The :class:`FailoverCoordinator` owns one primary's replication state:
   already reflects the full shipped log — and atomically swapped in,
   repairing the disk copy too, with no full restart.
 
-Promotion triggers three ways: explicitly (``db.demote()``), by
-heartbeat timeout (:meth:`check`), or by observed worker kills
-(:meth:`maybe_promote_on_faults` scanning the injector's
-``pool.worker`` events — the chaos lane's kill-primary signal).
+Promotion triggers two ways: explicitly (``db.demote()``), or by
+observed worker kills (:meth:`maybe_promote_on_faults` scanning the
+injector's ``pool.worker`` events — the chaos lane's kill-primary
+signal).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.errors import (
     TornWriteError,
 )
 from repro.fault import runtime as fault_runtime
-from repro.fault.backoff import NO_BACKOFF
 from repro.obs import runtime as obs_runtime
 from repro.recovery.framing import frame, unframe
 from repro.replication.channel import InlineChannel, ProcessChannel
@@ -44,13 +43,6 @@ from repro.replication.shipper import LogShipper
 from repro.storage.partition import Partition
 
 PartitionKey = Tuple[str, int]
-
-
-def _metric(name: str, amount: int = 1, **labels) -> None:
-    if amount:
-        obs = obs_runtime.active()
-        if obs is not None:
-            obs.metric_inc(name, amount, **labels)
 
 
 @dataclass
@@ -87,7 +79,6 @@ class FailoverCoordinator:
         self.partition_heals = 0
         self.last_promotion: Optional[PromotionStats] = None
         self.last_heal: Optional[HealStats] = None
-        self._last_heartbeat: Optional[float] = None
         self._sink_installed = False
         #: Relation names the replica knows about (config registration).
         self._known_relations: set = set()
@@ -99,11 +90,8 @@ class FailoverCoordinator:
     def _read_image(self, relation: str, partition_id: int) -> bytes:
         """One disk image, framed for the hop, retrying transient reads."""
         manager = self.db.recovery
-        backoff = self.config.backoff or NO_BACKOFF
         last_error: Optional[RecoveryError] = None
-        for attempt in range(self.config.retry_attempts):
-            if attempt:
-                backoff.sleep(attempt - 1)
+        for __ in range(self.config.retry_attempts):
             try:
                 return frame(
                     manager.disk.read_partition(relation, partition_id)
@@ -161,7 +149,6 @@ class FailoverCoordinator:
         device.add_sink(self._sink)
         self._sink_installed = True
         self.state = "active"
-        self.heartbeat()
         return self
 
     def _sink(self, records) -> None:
@@ -188,25 +175,8 @@ class FailoverCoordinator:
                 self._known_relations.add(relation.name)
 
     # ------------------------------------------------------------------ #
-    # heartbeats / failure detection
+    # failure detection
     # ------------------------------------------------------------------ #
-
-    def heartbeat(self) -> None:
-        """The primary's liveness stamp."""
-        self._last_heartbeat = time.monotonic()
-
-    def check(self) -> bool:
-        """Promote if the heartbeat window has lapsed; True if promoted."""
-        if (
-            self.state == "active"
-            and self.config.heartbeat_timeout > 0
-            and self._last_heartbeat is not None
-            and time.monotonic() - self._last_heartbeat
-            > self.config.heartbeat_timeout
-        ):
-            self.promote(reason="heartbeat timeout")
-            return True
-        return False
 
     def maybe_promote_on_faults(self) -> bool:
         """Promote when the injector shows the primary's workers dying.
@@ -298,7 +268,7 @@ class FailoverCoordinator:
         self.failovers += 1
         stats.elapsed_seconds = time.perf_counter() - started
         self.last_promotion = stats
-        _metric("failovers_total", reason=reason)
+        obs_runtime.metric_inc("failovers_total", reason=reason)
         return stats
 
     # ------------------------------------------------------------------ #
@@ -352,7 +322,9 @@ class FailoverCoordinator:
             stats.partitions_healed += 1
             stats.healed.append((relation_name, partition_id))
             self.partition_heals += 1
-            _metric("partition_heals_total", relation=relation_name)
+            obs_runtime.metric_inc(
+                "partition_heals_total", relation=relation_name
+            )
         for relation_name in touched:
             self.db.catalog.relation(relation_name).rebuild_indexes()
         if last is not None and quarantined:

@@ -13,8 +13,7 @@ Every shipping hop is fault-aware: the ``repl.ship`` and ``repl.apply``
 points both fire *here*, parent-side, before the channel request — the
 same discipline the morsel scheduler uses for ``pool.worker`` — so the
 seeded RNG stream lives in one process and chaos runs replay exactly.
-Failed hops retry up to ``retry_attempts`` times with the configured
-:class:`~repro.fault.BackoffPolicy` slept between attempts.
+Failed hops retry immediately, up to ``retry_attempts`` times.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.errors import (
     ReplicationError,
 )
 from repro.fault import runtime as fault_runtime
-from repro.fault.backoff import NO_BACKOFF
 from repro.obs import runtime as obs_runtime
 from repro.replication.batch import ShippedBatch, corrupt_bytes, encode_batch
 from repro.replication.config import ReplicationConfig
@@ -55,7 +53,6 @@ class LogShipper:
         self.ship_retries = 0
         self.ship_errors = 0
         self.rejected_batches = 0
-        self.backoff_waited = 0.0
 
     # ------------------------------------------------------------------ #
     # the sink side
@@ -119,12 +116,10 @@ class LogShipper:
             epoch=self.epoch, seq=self.seq, records=tuple(records)
         )
         data = encode_batch(batch)
-        backoff = self.config.backoff or NO_BACKOFF
         last_error: Optional[Exception] = None
         for attempt in range(self.config.retry_attempts):
             if attempt:
                 self.ship_retries += 1
-                self.backoff_waited += backoff.sleep(attempt - 1)
             wire = data
             try:
                 # Both replication fault points draw their seeded

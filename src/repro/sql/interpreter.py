@@ -9,7 +9,7 @@ instrumented quicksort on the pointer rows.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import QueryError, SchemaError
 from repro.obs import runtime as obs_runtime
@@ -548,9 +548,6 @@ class SQLInterpreter:
                 predicate.key_field,
             )
         return predicate  # _NeverMatches and friends need no renaming
-
-    def _run_join_chain(self, stmt: ast.Select) -> TemporaryList:
-        return self.db.executor.execute(self._join_chain_plan(stmt))
 
     def _chain_edges(self, stmt: ast.Select, tables: Sequence[str]):
         """The join graph of a chain SELECT as optimizer edges.

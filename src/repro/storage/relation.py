@@ -19,13 +19,12 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import (
     HeapOverflowError,
-    PartitionFullError,
     SchemaError,
     ShardUnavailableError,
     StorageError,
 )
 from repro.indexes import INDEX_KINDS
-from repro.indexes.base import Index, OrderedIndex
+from repro.indexes.base import Index
 from repro.instrument import count_traverse
 from repro.storage.partition import Partition, PartitionConfig
 from repro.storage.schema import FieldType, Schema
@@ -167,11 +166,6 @@ class Relation:
     # ------------------------------------------------------------------ #
     # quarantine marks (partial-restart degraded state)
     # ------------------------------------------------------------------ #
-
-    @property
-    def quarantined_partitions(self) -> Dict[int, str]:
-        """Quarantined partition ids and reasons (read-only view)."""
-        return dict(self._quarantined)
 
     def mark_quarantined(self, partition_id: int, reason: str) -> None:
         """Record that ``partition_id`` failed to reload and is absent."""

@@ -1,8 +1,8 @@
 """The shared retry schedule: deterministic exponential backoff.
 
-Every bounded-retry loop (restart's transient reads, the morsel
-scheduler's re-dispatch, the replication shipper's hops) draws its
-waits from one :class:`BackoffPolicy`.  The schedule is a pure function
+Restart's transient-read retry loop draws its waits from one
+:class:`BackoffPolicy` (morsel re-dispatch and replication hops retry
+immediately).  The schedule is a pure function
 of ``(policy, attempt)`` — jitter comes from a CRC over the policy seed
 and attempt number, never a shared RNG stream — so chaos replays sleep
 the exact same schedule regardless of how retries interleave, and the
@@ -15,6 +15,7 @@ from repro.errors import ConfigError
 from repro.fault import NO_BACKOFF, BackoffPolicy, parse_fault_spec
 from repro.fault import runtime as fault_runtime
 from repro.obs import runtime as obs_runtime
+from repro.query.vectorized import ExecutionConfig
 from tests.conftest import build_figure1_db
 
 
@@ -112,17 +113,21 @@ class TestWiring:
         assert db.recovery.backoff == NO_BACKOFF
 
     def test_execution_config_accepts_a_retry_backoff(self):
+        # Morsel retries re-dispatch immediately; the pacing keyword is
+        # retired from both the facade and ExecutionConfig.
         db = build_figure1_db(durable=False)
+        before = db.execution_config
         policy = BackoffPolicy(base=0.0001)
-        db.configure_execution(
-            engine="batch", workers=2, pool="inline", retry_backoff=policy
-        )
-        try:
-            assert db.executor.scheduler.retry_backoff == policy
-        finally:
-            db.configure_execution()
+        with pytest.raises(TypeError):
+            db.configure_execution(
+                engine="batch", workers=2, pool="inline",
+                retry_backoff=policy,
+            )
+        with pytest.raises(TypeError):
+            ExecutionConfig(engine="batch", retry_backoff=policy)
+        assert db.execution_config is before
 
     def test_execution_config_rejects_non_policy(self):
         db = build_figure1_db(durable=False)
-        with pytest.raises(ConfigError):
+        with pytest.raises(TypeError):
             db.configure_execution(engine="batch", retry_backoff="fast")

@@ -165,10 +165,7 @@ class TestEngineMetrics:
         entry = obs.slow_queries[0]
         assert entry.sql == sql
         assert entry.total_ops >= 1
-        assert entry.trigger == "ops"
-        assert (
-            obs.metrics.snapshot()["slow_queries_total"]["trigger=ops"] == 1
-        )
+        assert obs.metrics.snapshot()["slow_queries_total"][""] == 1
 
     def test_slow_query_log_disabled_by_none(self, chain_db):
         obs = chain_db.configure_observability(

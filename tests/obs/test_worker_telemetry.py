@@ -13,6 +13,7 @@ import pytest
 
 from repro import MainMemoryDatabase
 from repro.obs import ObservabilityConfig
+from repro.obs.config import DEFAULT_WORKER_MORSEL_BUCKETS
 
 #: The scheduler's run-counter keys, a stable public surface.
 SCHEDULER_STAT_KEYS = {
@@ -131,7 +132,7 @@ class TestWorkerMetrics:
         pid = next(iter(workers))
         hist = obs.metrics.histogram(
             "worker_morsel_seconds",
-            obs.config.worker_morsel_buckets,
+            DEFAULT_WORKER_MORSEL_BUCKETS,
             worker=pid,
         )
         assert hist.count == workers[pid]["morsels"]

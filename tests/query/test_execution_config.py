@@ -120,7 +120,7 @@ class TestValidSettings:
         assert config.workers == 1
         assert config.pool == "process"
         assert POOL_MODES == ("process", "inline")
-        assert len(fields(ExecutionConfig)) == 7
+        assert len(fields(ExecutionConfig)) == 5
 
 
 class TestEnvironmentDefaults:
