@@ -8,16 +8,14 @@ behaviour is unchanged when no :class:`CacheConfig` is installed.
 
 from repro.cache.config import CacheConfig
 from repro.cache.fingerprint import (
-    FingerprintError,
     dependency_closure,
     dependency_versions,
-    plan_fingerprint,
-    plan_relations,
     versions_current,
 )
 from repro.cache.lru import LRUCache
 from repro.cache.plan_cache import PlanCache
 from repro.cache.result_cache import ResultCache
+from repro.errors import FingerprintError
 
 __all__ = [
     "CacheConfig",
@@ -27,7 +25,5 @@ __all__ = [
     "ResultCache",
     "dependency_closure",
     "dependency_versions",
-    "plan_fingerprint",
-    "plan_relations",
     "versions_current",
 ]

@@ -20,13 +20,9 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.cache.fingerprint import (
-    FingerprintError,
-    dependency_closure,
-    plan_relations,
-)
+from repro.cache.fingerprint import dependency_versions, versions_current
 from repro.cache.lru import LRUCache
-from repro.errors import CatalogError
+from repro.errors import CatalogError, FingerprintError
 from repro.obs import runtime as obs_runtime
 
 
@@ -67,17 +63,12 @@ class PlanCache:
             )
             return None
         plan, versions = entry
-        for name, version in versions.items():
-            try:
-                relation = catalog.relation(name)
-            except CatalogError:
-                relation = None
-            if relation is None or relation.version != version:
-                self.plan_cache.invalidate(key)
-                obs_runtime.metric_inc(
-                    "cache_requests_total", layer="plan", outcome="stale"
-                )
-                return None
+        if not versions_current(catalog, versions):
+            self.plan_cache.invalidate(key)
+            obs_runtime.metric_inc(
+                "cache_requests_total", layer="plan", outcome="stale"
+            )
+            return None
         obs_runtime.metric_inc(
             "cache_requests_total", layer="plan", outcome="hit"
         )
@@ -90,10 +81,7 @@ class PlanCache:
         already been dropped) are silently left uncached.
         """
         try:
-            closure = dependency_closure(catalog, plan_relations(plan))
-            versions = {
-                name: catalog.relation(name).version for name in closure
-            }
+            versions = dependency_versions(catalog, plan)
         except (FingerprintError, CatalogError):
             return
         self.plan_cache.put(key, (plan, versions))

@@ -24,14 +24,12 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional, Tuple
 
 from repro.cache.fingerprint import (
-    FingerprintError,
     dependency_closure,
     dependency_versions,
-    plan_fingerprint,
     versions_current,
 )
 from repro.cache.lru import LRUCache
-from repro.errors import CatalogError
+from repro.errors import CatalogError, FingerprintError
 from repro.instrument import count_move
 from repro.obs import runtime as obs_runtime
 from repro.query.aggregate import ValueTable
@@ -64,14 +62,14 @@ class ResultCache:
         """Cached result for a plan subtree, or None (stale entries are
         discarded)."""
         try:
-            key = ("plan", plan_fingerprint(plan))
+            key = ("plan", plan.fingerprint())
         except FingerprintError:
             return None
         return self._lookup(key)
 
     def store_plan(self, plan, result) -> None:
         try:
-            key = ("plan", plan_fingerprint(plan))
+            key = ("plan", plan.fingerprint())
             versions = dependency_versions(self.catalog, plan)
         except (FingerprintError, CatalogError):
             return

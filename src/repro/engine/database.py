@@ -39,14 +39,21 @@ from repro.errors import (
 )
 from repro.query.executor import Executor
 from repro.query.optimizer import Optimizer
-from repro.query.predicates import Comparison, Conjunction, Disjunction, Op
 from repro.query.plan import (
     REF_COLUMN,
     JoinNode,
     PlanNode,
     ScanNode,
 )
-from repro.query.predicates import Predicate
+from repro.query.predicates import (
+    Comparison,
+    Conjunction,
+    Disjunction,
+    Op,
+    Predicate,
+    _FKValueComparison,
+    _NeverMatches,
+)
 from repro.query.project import project_hash, project_sort_scan
 from repro.recovery.restart import RecoveryManager, RestartStats
 from repro.storage.catalog import Catalog
@@ -57,46 +64,6 @@ from repro.storage.temporary import TemporaryList
 from repro.storage.tuples import TupleRef
 from repro.txn.locks import LockMode
 from repro.txn.transaction import Transaction, TransactionManager
-
-
-class _NeverMatches(Predicate):
-    """A predicate that matches nothing (an FK equality on an absent
-    referenced key — the join partner does not exist)."""
-
-    def __init__(self, field_name: str) -> None:
-        self.field_name = field_name
-
-    def matches(self, read_field) -> bool:
-        return False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"({self.field_name} matches nothing)"
-
-
-class _FKValueComparison(Predicate):
-    """Ordered comparison on a foreign-key column's *referenced value*.
-
-    Follows the stored tuple pointer to the referenced relation's key
-    field, then applies the original comparison to that value.  NULL
-    pointers never match (SQL comparison semantics).
-    """
-
-    def __init__(self, comparison: Comparison, target, key_field: str) -> None:
-        self.comparison = comparison
-        self.target = target
-        self.key_field = key_field
-
-    def matches(self, read_field) -> bool:
-        pointer = read_field(self.comparison.field)
-        if pointer is None:
-            return False
-        value = self.target.read_field(pointer, self.key_field)
-        return self.comparison.matches(
-            lambda __: value
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"(follow {self.comparison!r})"
 
 
 class MainMemoryDatabase:

@@ -71,6 +71,11 @@ class QueryError(ReproError):
     """A query-processing operation was mis-specified."""
 
 
+class FingerprintError(ReproError):
+    """A plan holds a node, predicate or literal that has no canonical
+    fingerprint; the plan is executable but not cacheable."""
+
+
 class PlanError(QueryError):
     """A query plan is structurally invalid."""
 

@@ -11,186 +11,34 @@ Two surfaces share the helpers here:
   misestimates (the Section 3.3.1 workload's selectivity skew) directly
   visible per operator.
 
-Estimation is deliberately crude, mirroring the paper's Section 4 stance
-that main-memory cost formulas should stay simple: equality selects
-``cardinality / distinct`` rows (exact column statistics are cheap to
-keep in memory), range predicates default to one third, and equijoins
-divide the cross product by the inner side's distinct count.
+This module only renders.  Each node's line of text, its children and
+its row estimate are the node's own
+(:meth:`~repro.query.plan.PlanNode.label`,
+:meth:`~repro.query.plan.PlanNode.children`,
+:meth:`~repro.query.plan.PlanNode.estimate`), and the estimate uses the
+optimizer's own selectivities, so EXPLAIN and the optimizer cannot
+disagree.  Estimation is deliberately crude, mirroring the paper's
+Section 4 stance that main-memory cost formulas should stay simple:
+equality selects ``cardinality / distinct`` rows (exact column
+statistics are cheap to keep in memory), range predicates default to one
+third, and equijoins divide the cross product by the inner side's
+distinct count.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import List, Optional
 
-from repro.query.plan import (
-    REF_COLUMN,
-    FilterNode,
-    IndexLookupNode,
-    IndexMultiLookupNode,
-    IndexRangeNode,
-    JoinNode,
-    PlanNode,
-    ProjectNode,
-    ScanNode,
-)
-from repro.query.predicates import Comparison, Conjunction, Disjunction, Op
-
-#: Default selectivity for predicates we cannot analyse (System R's
-#: classic 1/3 for range-shaped conditions).
-DEFAULT_SELECTIVITY = 1.0 / 3.0
-
-
-def node_label(plan: PlanNode) -> str:
-    """One-line description of a plan node (no children, no indent)."""
-    if isinstance(plan, JoinNode):
-        order = ""
-        if plan.join_order is not None:
-            order = f"  order={'->'.join(plan.join_order)}"
-        return (
-            f"Join[{plan.method}] {plan.left_col} {plan.op} "
-            f"{plan.right_col}{order}"
-        )
-    if isinstance(plan, FilterNode):
-        return f"Filter {plan.predicate!r}"
-    if isinstance(plan, ProjectNode):
-        dd = f" dedup({plan.dedup_method})" if plan.deduplicate else ""
-        return f"Project{list(plan.columns)}{dd}"
-    # Leaves render on a single line already.
-    return plan.explain(0)
-
-
-def node_children(plan: PlanNode) -> List[PlanNode]:
-    """Child plan nodes in execution order."""
-    if isinstance(plan, JoinNode):
-        return [plan.left, plan.right]
-    if isinstance(plan, (FilterNode, ProjectNode)):
-        return [plan.child]
-    return []
-
-
-# --------------------------------------------------------------------- #
-# row estimation
-# --------------------------------------------------------------------- #
-
-def _column_selectivity(catalog, optimizer, relation_name, field_name) -> float:
-    """Fraction of rows matched by one equality on the column."""
-    relation = catalog.relation(relation_name)
-    if field_name not in relation.schema.names:
-        return DEFAULT_SELECTIVITY
-    stats = optimizer.column_stats(relation, field_name)
-    if stats.cardinality == 0 or stats.distinct == 0:
-        return 1.0
-    return 1.0 / stats.distinct
-
-
-def _predicate_selectivity(
-    catalog, optimizer, relation_name: str, predicate
-) -> float:
-    """Estimated match fraction of a predicate on one relation."""
-    if predicate is None:
-        return 1.0
-    if isinstance(predicate, Conjunction):
-        out = 1.0
-        for part in predicate.parts:
-            out *= _predicate_selectivity(
-                catalog, optimizer, relation_name, part
-            )
-        return out
-    if isinstance(predicate, Disjunction):
-        total = sum(
-            _predicate_selectivity(catalog, optimizer, relation_name, part)
-            for part in predicate.parts
-        )
-        return min(1.0, total)
-    if isinstance(predicate, Comparison):
-        field = predicate.field.rsplit(".", 1)[-1]
-        if predicate.op is Op.EQ:
-            return _column_selectivity(
-                catalog, optimizer, relation_name, field
-            )
-        return DEFAULT_SELECTIVITY
-    return DEFAULT_SELECTIVITY
+from repro.query.plan import PlanNode
 
 
 def estimate_rows(plan: PlanNode, catalog, optimizer) -> Optional[int]:
     """Estimated output cardinality of a plan subtree (None when the
     catalog no longer has the relations to estimate against)."""
     try:
-        return max(0, round(_estimate(plan, catalog, optimizer)))
+        return max(0, round(plan.estimate(catalog, optimizer)))
     except Exception:
         return None
-
-
-def _estimate(plan: PlanNode, catalog, optimizer) -> float:
-    if isinstance(plan, ScanNode):
-        relation = catalog.relation(plan.relation_name)
-        return len(relation) * _predicate_selectivity(
-            catalog, optimizer, plan.relation_name, plan.predicate
-        )
-    if isinstance(plan, IndexLookupNode):
-        relation = catalog.relation(plan.relation_name)
-        return len(relation) * _column_selectivity(
-            catalog, optimizer, plan.relation_name, plan.field_name
-        )
-    if isinstance(plan, IndexMultiLookupNode):
-        relation = catalog.relation(plan.relation_name)
-        per_key = len(relation) * _column_selectivity(
-            catalog, optimizer, plan.relation_name, plan.field_name
-        )
-        return per_key * len(plan.keys)
-    if isinstance(plan, IndexRangeNode):
-        relation = catalog.relation(plan.relation_name)
-        return len(relation) * DEFAULT_SELECTIVITY
-    if isinstance(plan, FilterNode):
-        # Without binding columns to source relations post-join, apply
-        # the default selectivity per comparison leaf.
-        child = _estimate(plan.child, catalog, optimizer)
-        return child * _leaf_selectivity(plan.predicate)
-    if isinstance(plan, JoinNode):
-        if plan.est_rows is not None:
-            # The cost-based orderer already estimated this join with
-            # predicate selectivities applied; its figure is stricter
-            # than the structural recursion below.
-            return plan.est_rows
-        left = _estimate(plan.left, catalog, optimizer)
-        right = _estimate(plan.right, catalog, optimizer)
-        if plan.op != "=":
-            return left * right * DEFAULT_SELECTIVITY
-        if plan.method == "precomputed" or plan.right_col == REF_COLUMN:
-            # Pointer equality: each outer pointer pairs with exactly one
-            # target tuple (or a stored pointer list; still ~|outer|).
-            return left
-        distinct = _inner_distinct(plan.right, plan.right_col, catalog, optimizer)
-        if distinct <= 0:
-            return 0.0
-        return left * right / distinct
-    if isinstance(plan, ProjectNode):
-        return _estimate(plan.child, catalog, optimizer)
-    raise ValueError(f"unknown plan node {type(plan).__name__}")
-
-
-def _leaf_selectivity(predicate) -> float:
-    if isinstance(predicate, Conjunction):
-        out = 1.0
-        for part in predicate.parts:
-            out *= _leaf_selectivity(part)
-        return out
-    if isinstance(predicate, Disjunction):
-        return min(
-            1.0, sum(_leaf_selectivity(part) for part in predicate.parts)
-        )
-    return DEFAULT_SELECTIVITY
-
-
-def _inner_distinct(right: PlanNode, right_col: str, catalog, optimizer) -> float:
-    """Distinct join-key count on the inner input (falls back to its
-    estimated cardinality when the column cannot be resolved)."""
-    if isinstance(right, ScanNode) and right.predicate is None:
-        relation = catalog.relation(right.relation_name)
-        field = right_col.rsplit(".", 1)[-1]
-        if field in relation.schema.names:
-            return float(optimizer.column_stats(relation, field).distinct)
-    return max(1.0, _estimate(right, catalog, optimizer))
 
 
 # --------------------------------------------------------------------- #
@@ -205,8 +53,8 @@ def render_plan(plan: PlanNode, catalog, optimizer) -> str:
         est = estimate_rows(node, catalog, optimizer)
         suffix = "" if est is None else f"  (est_rows={est})"
         suffix += _forecast_suffix(node)
-        lines.append("  " * depth + node_label(node) + suffix)
-        for child in node_children(node):
+        lines.append("  " * depth + node.label() + suffix)
+        for child in node.children():
             emit(child, depth + 1)
 
     emit(plan, 0)

@@ -12,7 +12,6 @@ from typing import Any, Callable, List, Tuple, Union
 
 from repro.errors import PlanError
 from repro.obs import runtime as obs_runtime
-from repro.obs.explain import node_label
 from repro.query import join as join_ops
 from repro.query.plan import (
     REF_COLUMN,
@@ -32,9 +31,9 @@ from repro.query.sort import quicksort
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
 from repro.storage.temporary import (
-    ResultColumn,
     ResultDescriptor,
     TemporaryList,
+    join_descriptor,
 )
 from repro.storage.tuples import TupleRef
 
@@ -78,76 +77,6 @@ def filter_column_resolver(
         )
 
     return resolve
-
-
-def join_descriptor(
-    left: ResultDescriptor, right: ResultDescriptor
-) -> ResultDescriptor:
-    """Concatenate two descriptors, qualifying colliding names.
-
-    Both execution engines and the join-order planner (which simulates
-    descriptor folding to predict output labels without executing) share
-    this one definition.
-    """
-    sources = list(left.sources) + list(right.sources)
-    offset = len(left.sources)
-    names_left = [c.name for c in left.columns]
-    names_right = [c.name for c in right.columns]
-    collisions = set(names_left) & set(names_right)
-    used: set = set()
-
-    def unique_label(label: str) -> str:
-        # Self-joins can collide even after qualification; an ordinal
-        # suffix keeps every output column addressable.
-        candidate, n = label, 1
-        while candidate in used:
-            n += 1
-            candidate = f"{label}_{n}"
-        used.add(candidate)
-        return candidate
-
-    columns: List[ResultColumn] = []
-    for col in left.columns:
-        label = col.name
-        if label in collisions:
-            label = f"{left.sources[col.source].name}.{col.name}"
-        columns.append(
-            ResultColumn(col.source, col.field, unique_label(label))
-        )
-    for col in right.columns:
-        label = col.name
-        if label in collisions:
-            label = f"{right.sources[col.source].name}.{col.name}"
-        columns.append(
-            ResultColumn(col.source + offset, col.field, unique_label(label))
-        )
-    return ResultDescriptor(sources, columns)
-
-
-def plan_descriptor(plan: PlanNode, catalog: Catalog) -> ResultDescriptor:
-    """The descriptor ``plan`` will produce, computed without executing.
-
-    Mirrors each operator's descriptor construction exactly: leaves
-    expose their whole relation, filters pass through, joins fold via
-    :func:`join_descriptor`, projection narrows.
-    """
-    if isinstance(
-        plan,
-        (ScanNode, IndexLookupNode, IndexMultiLookupNode, IndexRangeNode),
-    ):
-        return ResultDescriptor.whole_relation(
-            catalog.relation(plan.relation_name)
-        )
-    if isinstance(plan, FilterNode):
-        return plan_descriptor(plan.child, catalog)
-    if isinstance(plan, JoinNode):
-        return join_descriptor(
-            plan_descriptor(plan.left, catalog),
-            plan_descriptor(plan.right, catalog),
-        )
-    if isinstance(plan, ProjectNode):
-        return plan_descriptor(plan.child, catalog).project(list(plan.columns))
-    raise PlanError(f"unknown plan node {type(plan).__name__}")
 
 
 def lookup_index(
@@ -209,7 +138,7 @@ class Executor:
         if obs is None or obs.tracer is None:
             return self._execute_cached(plan)
         with obs.tracer.span(
-            node_label(plan), kind="operator", _node=plan
+            plan.label(), kind="operator", _node=plan
         ) as span:
             result = self._execute_cached(plan)
             span.rows_out = len(result)

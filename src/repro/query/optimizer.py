@@ -35,11 +35,13 @@ from repro.query.plan import (
     ScanNode,
 )
 from repro.query.predicates import (
+    DEFAULT_SELECTIVITY,
     Comparison,
     Conjunction,
     Disjunction,
     Op,
     Predicate,
+    _NeverMatches,
 )
 from repro.storage.catalog import Catalog
 from repro.storage.relation import Relation
@@ -52,10 +54,6 @@ SORT_MERGE_OVER_HASH_DUPS = 0.70
 #: Outer/inner size ratio below which Tree Join beats Hash Join (Graph 6:
 #: "the smaller relation is less than half the size of the larger").
 TREE_JOIN_SIZE_RATIO = 0.5
-
-#: Default selectivity for predicates the statistics cannot analyse
-#: (System R's classic 1/3 for range-shaped conditions).
-DEFAULT_SELECTIVITY = 1.0 / 3.0
 
 #: Above this many relations the exact DP enumeration (2^n states) gives
 #: way to a greedy chain construction using the same cost model.
@@ -476,7 +474,7 @@ class Optimizer:
                 left_plan, ScanNode(inner_name), outer_col, REF_COLUMN,
                 "precomputed",
             )
-            return FilterNode(join, _qualify(inner_predicate, inner_name))
+            return FilterNode(join, inner_predicate.qualify(inner_name))
 
         left_plan: PlanNode
         right_plan: PlanNode
@@ -536,10 +534,6 @@ class Optimizer:
             if predicate.op is Op.EQ:
                 return self.equality_selectivity(relation_name, field_name)
             return DEFAULT_SELECTIVITY
-        # Engine-internal predicate classes (imported lazily: the engine
-        # module imports this package at load time).
-        from repro.engine.database import _NeverMatches
-
         if isinstance(predicate, _NeverMatches):
             return 0.0
         return DEFAULT_SELECTIVITY
@@ -889,19 +883,3 @@ def _flatten(predicate: Predicate):
             yield from _flatten(part)
     else:
         yield predicate
-
-
-def _qualify(predicate: Predicate, relation_name: str) -> Predicate:
-    """Prefix every comparison's field with ``relation_name.``."""
-    if isinstance(predicate, Comparison):
-        return Comparison(
-            f"{relation_name}.{predicate.field}",
-            predicate.op,
-            predicate.value,
-            predicate.high,
-        )
-    if isinstance(predicate, Conjunction):
-        return Conjunction(
-            tuple(_qualify(part, relation_name) for part in predicate.parts)
-        )
-    return predicate

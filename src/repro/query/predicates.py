@@ -7,6 +7,17 @@ equality on a hash-indexed field becomes a hash lookup, an equality or
 range on a tree-indexed field becomes a tree lookup, anything else falls
 back to a sequential scan through an unrelated index (Section 4's three
 access paths).
+
+Every predicate class answers three questions about itself:
+:meth:`~Predicate.fingerprint` (its canonical part of a plan's result-
+cache key), :meth:`~Predicate.relations` (relations it reads beyond its
+host) and :meth:`~Predicate.qualify` (the same predicate with its
+columns prefixed by their owning relation, for a post-join filter).
+The two classes the foreign-key rewrite produces, :class:`_NeverMatches`
+and :class:`_FKValueComparison`, live here with the rest.  A predicate
+class written outside this module inherits the base
+:meth:`~Predicate.fingerprint`, which raises :class:`FingerprintError`:
+such a plan runs but is never cached.
 """
 
 from __future__ import annotations
@@ -14,9 +25,28 @@ from __future__ import annotations
 import enum
 import operator as _operator
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, FrozenSet, Optional, Tuple
 
+from repro.errors import FingerprintError
 from repro.instrument import count_compare
+from repro.storage.tuples import TupleRef
+
+#: Default selectivity for predicates the statistics cannot analyse
+#: (System R's classic 1/3 for range-shaped conditions).
+DEFAULT_SELECTIVITY = 1.0 / 3.0
+
+
+def value_fingerprint(value: Any) -> Any:
+    """Canonical, hashable form of a literal embedded in a plan."""
+    # A pointer is an ``int`` subclass: tested first, so the pointer to
+    # slot 5 of partition 0 never shares a cache entry with the INT 5.
+    if isinstance(value, TupleRef):
+        return ("ref", value >> 32, value & 0xFFFFFFFF)
+    if value is None or isinstance(value, (int, float, str, bool)):
+        return value
+    if isinstance(value, tuple):
+        return tuple(value_fingerprint(v) for v in value)
+    raise FingerprintError(f"uncacheable literal {value!r}")
 
 
 class Op(enum.Enum):
@@ -51,6 +81,20 @@ class Predicate:
     def matches(self, read_field: Callable[[str], Any]) -> bool:
         """Evaluate against a field-reader for one tuple."""
         raise NotImplementedError
+
+    def fingerprint(self) -> Tuple:
+        """Canonical nested-tuple form (part of a plan's cache key)."""
+        raise FingerprintError(
+            f"uncacheable predicate {type(self).__name__}"
+        )
+
+    def relations(self) -> FrozenSet[str]:
+        """Relations read *in addition to* the host relation."""
+        return frozenset()
+
+    def qualify(self, owner: str) -> "Predicate":
+        """This predicate with every column prefixed by ``owner.``."""
+        return self
 
     def __and__(self, other: "Predicate") -> "Conjunction":
         return Conjunction((self, other))
@@ -90,6 +134,20 @@ class Comparison(Predicate):
         count_compare()
         return self.value <= actual <= self.high
 
+    def fingerprint(self) -> Tuple:
+        return (
+            "cmp",
+            self.field,
+            self.op.value,
+            value_fingerprint(self.value),
+            value_fingerprint(self.high),
+        )
+
+    def qualify(self, owner: str) -> "Comparison":
+        return Comparison(
+            f"{owner}.{self.field}", self.op, self.value, self.high
+        )
+
     def key_range(self) -> Tuple[Optional[Any], Optional[Any], bool, bool]:
         """(low, high, include_low, include_high) for an ordered index."""
         if self.op is Op.EQ:
@@ -121,6 +179,15 @@ class Conjunction(Predicate):
     def matches(self, read_field: Callable[[str], Any]) -> bool:
         return all(part.matches(read_field) for part in self.parts)
 
+    def fingerprint(self) -> Tuple:
+        return ("and",) + tuple(part.fingerprint() for part in self.parts)
+
+    def relations(self) -> FrozenSet[str]:
+        return frozenset().union(*(part.relations() for part in self.parts))
+
+    def qualify(self, owner: str) -> "Conjunction":
+        return Conjunction(tuple(part.qualify(owner) for part in self.parts))
+
     def comparisons(self) -> Tuple[Comparison, ...]:
         """Flattened comparison leaves (for access-path selection)."""
         result = []
@@ -145,6 +212,15 @@ class Disjunction(Predicate):
     def matches(self, read_field: Callable[[str], Any]) -> bool:
         return any(part.matches(read_field) for part in self.parts)
 
+    def fingerprint(self) -> Tuple:
+        return ("or",) + tuple(part.fingerprint() for part in self.parts)
+
+    def relations(self) -> FrozenSet[str]:
+        return frozenset().union(*(part.relations() for part in self.parts))
+
+    def qualify(self, owner: str) -> "Disjunction":
+        return Disjunction(tuple(part.qualify(owner) for part in self.parts))
+
     def equality_keys(self) -> "Optional[Tuple[str, Tuple[Any, ...]]]":
         """``(field, keys)`` when every branch is an equality on one
         common field — servable as a union of index lookups — else None.
@@ -165,6 +241,65 @@ class Disjunction(Predicate):
 
     def __repr__(self) -> str:
         return "(" + " OR ".join(repr(p) for p in self.parts) + ")"
+
+
+class _NeverMatches(Predicate):
+    """A predicate that matches nothing (an FK equality on an absent
+    referenced key — the join partner does not exist)."""
+
+    def __init__(self, field_name: str) -> None:
+        self.field_name = field_name
+
+    def matches(self, read_field) -> bool:
+        return False
+
+    def fingerprint(self) -> Tuple:
+        return ("never", self.field_name)
+
+    def __repr__(self) -> str:
+        return f"({self.field_name} matches nothing)"
+
+
+class _FKValueComparison(Predicate):
+    """Ordered comparison on a foreign-key column's *referenced value*.
+
+    Follows the stored tuple pointer to the referenced relation's key
+    field, then applies the original comparison to that value.  NULL
+    pointers never match (SQL comparison semantics).
+    """
+
+    def __init__(self, comparison: Comparison, target, key_field: str) -> None:
+        self.comparison = comparison
+        self.target = target
+        self.key_field = key_field
+
+    def matches(self, read_field) -> bool:
+        pointer = read_field(self.comparison.field)
+        if pointer is None:
+            return False
+        value = self.target.read_field(pointer, self.key_field)
+        return self.comparison.matches(
+            lambda __: value
+        )
+
+    def fingerprint(self) -> Tuple:
+        return (
+            "fk",
+            self.comparison.fingerprint(),
+            self.target.name,
+            self.key_field,
+        )
+
+    def relations(self) -> FrozenSet[str]:
+        return frozenset((self.target.name,))
+
+    def qualify(self, owner: str) -> "_FKValueComparison":
+        return _FKValueComparison(
+            self.comparison.qualify(owner), self.target, self.key_field
+        )
+
+    def __repr__(self) -> str:
+        return f"(follow {self.comparison!r})"
 
 
 #: Raw two-value comparators for theta joins, keyed by operator text.

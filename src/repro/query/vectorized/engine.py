@@ -32,11 +32,7 @@ from typing import Any, Callable, List, Tuple
 from repro.errors import PlanError
 from repro.instrument import count_traverse
 from repro.obs import runtime as obs_runtime
-from repro.query.executor import (
-    Executor,
-    filter_column_resolver,
-    join_descriptor,
-)
+from repro.query.executor import Executor, filter_column_resolver
 from repro.query.plan import (
     REF_COLUMN,
     FilterNode,
@@ -58,7 +54,11 @@ from repro.query.vectorized.kernels import (
     probe_hash_table,
     sort_rows_cached,
 )
-from repro.storage.temporary import ResultDescriptor, TemporaryList
+from repro.storage.temporary import (
+    ResultDescriptor,
+    TemporaryList,
+    join_descriptor,
+)
 from repro.storage.tuples import TupleRef
 
 Row = Tuple[TupleRef, ...]

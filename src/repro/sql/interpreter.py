@@ -509,45 +509,7 @@ class SQLInterpreter:
         rewritten = self.db._rewrite_fk_predicate(
             owner, _tree_to_predicate(bare)
         )
-        return self._qualify_predicate(rewritten, owner)
-
-    @staticmethod
-    def _qualify_predicate(predicate: Predicate, owner: str) -> Predicate:
-        """Prefix a rewritten predicate's columns with ``owner.``."""
-        from repro.engine.database import _FKValueComparison
-
-        if isinstance(predicate, Comparison):
-            return Comparison(
-                f"{owner}.{predicate.field}",
-                predicate.op,
-                predicate.value,
-                predicate.high,
-            )
-        if isinstance(predicate, Conjunction):
-            return Conjunction(
-                tuple(
-                    SQLInterpreter._qualify_predicate(part, owner)
-                    for part in predicate.parts
-                )
-            )
-        from repro.query.predicates import Disjunction
-
-        if isinstance(predicate, Disjunction):
-            return Disjunction(
-                tuple(
-                    SQLInterpreter._qualify_predicate(part, owner)
-                    for part in predicate.parts
-                )
-            )
-        if isinstance(predicate, _FKValueComparison):
-            return _FKValueComparison(
-                SQLInterpreter._qualify_predicate(
-                    predicate.comparison, owner
-                ),
-                predicate.target,
-                predicate.key_field,
-            )
-        return predicate  # _NeverMatches and friends need no renaming
+        return rewritten.qualify(owner)
 
     def _chain_edges(self, stmt: ast.Select, tables: Sequence[str]):
         """The join graph of a chain SELECT as optimizer edges.
@@ -612,10 +574,9 @@ class SQLInterpreter:
         Safety here is observational: the reordered plan must produce
         the same rows under the same output labels as the written one.
         """
-        from repro.query.executor import plan_descriptor
         from repro.query.optimizer import JoinChainQuery
         from repro.query.plan import FilterNode, ProjectNode
-        from repro.storage.temporary import ResultDescriptor
+        from repro.storage.temporary import ResultDescriptor, join_descriptor
 
         tables = [stmt.table] + [clause.table for clause in stmt.joins]
         if len(tables) < 3:
@@ -682,8 +643,6 @@ class SQLInterpreter:
             # to the same (relation, field).  Simulate both descriptor
             # folds; bail out on any binding drift, re-project when only
             # the column order differs.
-            from repro.query.executor import join_descriptor
-
             written = ResultDescriptor.whole_relation(
                 self.db.relation(tables[0])
             )
@@ -692,7 +651,7 @@ class SQLInterpreter:
                     written,
                     ResultDescriptor.whole_relation(self.db.relation(t)),
                 )
-            chosen = plan_descriptor(plan, self.db.catalog)
+            chosen = plan.descriptor(self.db.catalog)
 
             def bindings(desc):
                 return {

@@ -135,6 +135,51 @@ class ResultDescriptor:
         return cls([relation], columns)
 
 
+def join_descriptor(
+    left: ResultDescriptor, right: ResultDescriptor
+) -> ResultDescriptor:
+    """Concatenate two descriptors, qualifying colliding names.
+
+    Both execution engines, :meth:`JoinNode.descriptor
+    <repro.query.plan.JoinNode.descriptor>` and the join-order planner
+    (which simulates descriptor folding to predict output labels without
+    executing) share this one definition.
+    """
+    sources = list(left.sources) + list(right.sources)
+    offset = len(left.sources)
+    names_left = [c.name for c in left.columns]
+    names_right = [c.name for c in right.columns]
+    collisions = set(names_left) & set(names_right)
+    used: set = set()
+
+    def unique_label(label: str) -> str:
+        # Self-joins can collide even after qualification; an ordinal
+        # suffix keeps every output column addressable.
+        candidate, n = label, 1
+        while candidate in used:
+            n += 1
+            candidate = f"{label}_{n}"
+        used.add(candidate)
+        return candidate
+
+    columns: List[ResultColumn] = []
+    for col in left.columns:
+        label = col.name
+        if label in collisions:
+            label = f"{left.sources[col.source].name}.{col.name}"
+        columns.append(
+            ResultColumn(col.source, col.field, unique_label(label))
+        )
+    for col in right.columns:
+        label = col.name
+        if label in collisions:
+            label = f"{right.sources[col.source].name}.{col.name}"
+        columns.append(
+            ResultColumn(col.source + offset, col.field, unique_label(label))
+        )
+    return ResultDescriptor(sources, columns)
+
+
 class TemporaryList:
     """A directly traversable list of tuple-pointer rows.
 

@@ -12,7 +12,7 @@ import random
 
 from repro import MainMemoryDatabase
 from repro.cache import CacheConfig
-from repro.cache.fingerprint import dependency_versions, plan_relations
+from repro.cache.fingerprint import dependency_versions
 from repro.query.optimizer import JoinChainEdge, JoinChainQuery
 
 SEED = 19860528
@@ -110,7 +110,7 @@ class TestDependencyClosure:
         )
         plan = db.optimizer.plan_join_chain(query)
         assert plan is not None
-        deps = plan_relations(plan)
+        deps = plan.relations()
         assert {"Big", "Mid", "Small"} <= deps
         versions = dependency_versions(db.catalog, plan)
         assert set(versions) >= {"Big", "Mid", "Small"}
@@ -122,6 +122,6 @@ class TestDependencyClosure:
         db = build_db()
         plan = db.selection_plan("Big", None)
         plan._repro_extra_relations = frozenset(("Small",))
-        assert "Small" in plan_relations(plan)
+        assert "Small" in plan.relations()
         versions = dependency_versions(db.catalog, plan)
         assert "Small" in versions

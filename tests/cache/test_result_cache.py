@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.cache import CacheConfig, plan_fingerprint, plan_relations
+from repro.cache import CacheConfig
 from repro.cache.result_cache import ResultCache
 from repro.instrument import counters_scope
 from repro.query.plan import IndexLookupNode, ScanNode
@@ -14,18 +14,18 @@ class TestFingerprints:
     def test_equal_plans_equal_fingerprints(self):
         a = IndexLookupNode("Employee", "Id", 23, prefer="tree")
         b = IndexLookupNode("Employee", "Id", 23, prefer="tree")
-        assert plan_fingerprint(a) == plan_fingerprint(b)
+        assert a.fingerprint() == b.fingerprint()
 
     def test_different_keys_differ(self):
         a = IndexLookupNode("Employee", "Id", 23, prefer="tree")
         b = IndexLookupNode("Employee", "Id", 44, prefer="tree")
-        assert plan_fingerprint(a) != plan_fingerprint(b)
+        assert a.fingerprint() != b.fingerprint()
 
     def test_plan_relations_include_fk_predicates(self):
         db = build_figure1_db()
         plan = db.selection_plan("Employee", gt("Dept_Id", 410))
         # The ordered FK comparison follows pointers into Department.
-        assert plan_relations(plan) == frozenset({"Employee", "Department"})
+        assert plan.relations() == frozenset({"Employee", "Department"})
 
 
 class TestSubtreeMemoization:

@@ -62,6 +62,15 @@ class TestExplain:
         assert "IndexLookup" in rendered
         assert "(est_rows=1)" in rendered
 
+    def test_never_matching_fk_equality_estimates_zero(self, chain_db):
+        # An FK equality on an absent key plans a never-matching scan;
+        # EXPLAIN must give it the optimizer's selectivity of 0.
+        rendered = chain_db.sql(
+            "EXPLAIN SELECT Name FROM Emp WHERE Dept = 999"
+        )
+        assert rendered.endswith("(est_rows=0)"), rendered
+        assert len(chain_db.sql("SELECT Name FROM Emp WHERE Dept = 999")) == 0
+
     def test_explain_does_not_execute(self, chain_db):
         before = len(chain_db.sql("SELECT * FROM Emp"))
         chain_db.sql("EXPLAIN SELECT * FROM Emp")

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.errors import FingerprintError
 from repro.query.predicates import (
     Comparison,
     Conjunction,
     Op,
+    Predicate,
+    _FKValueComparison,
     between,
     eq,
     ge,
@@ -108,3 +111,32 @@ class TestConjunction:
         assert "Age" in repr(gt("Age", 65))
         assert "BETWEEN" in repr(between("Age", 1, 2))
         assert "AND" in repr(gt("a", 1) & lt("a", 5))
+
+
+class TestQualify:
+    def test_qualify_descends_into_every_connective(self):
+        pred = (eq("a", 1) | (gt("b", 2) & between("c", 3, 4))).qualify("T")
+        assert repr(pred) == (
+            "((T.a = 1) OR (T.b > 2) AND (T.c BETWEEN 3 AND 4))"
+        )
+
+    def test_qualify_descends_into_fk_value_comparison(self):
+        class Target:
+            name = "Dept"
+
+        fk = _FKValueComparison(gt("Dept_Id", 409), Target(), "Id")
+        qualified = (eq("Age", 30) | fk).qualify("Emp")
+        assert qualified.parts[1].comparison.field == "Emp.Dept_Id"
+        assert qualified.parts[1].target is fk.target
+        assert qualified.relations() == frozenset({"Dept"})
+
+    def test_user_predicate_is_uncacheable_and_unqualified(self):
+        class Odd(Predicate):
+            def matches(self, read_field):
+                return read_field("x") % 2 == 1
+
+        odd = Odd()
+        with pytest.raises(FingerprintError):
+            (eq("a", 1) & odd).fingerprint()
+        assert odd.qualify("T") is odd
+        assert odd.relations() == frozenset()

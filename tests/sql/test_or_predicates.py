@@ -59,6 +59,24 @@ class TestEngineSelection:
         )
         assert {d["Name"] for d in result.to_dicts()} == {"Cindy", "Yaman"}
 
+    def test_inner_or_on_precomputed_join_matches_sql(self, figure1_db):
+        # The inner predicate lands in a post-join filter; its OR
+        # branches must be qualified with the inner relation like the
+        # SQL form's, or 'Name' is ambiguous between the two sides.
+        toy_or_shoe = Disjunction((eq("Name", "Toy"), eq("Name", "Shoe")))
+        result = figure1_db.join(
+            "Employee", "Department", ("Dept_Id", "Id"),
+            inner_predicate=toy_or_shoe,
+        )
+        names = sorted(d["Employee.Name"] for d in result.to_dicts())
+        rows = figure1_db.sql(
+            "SELECT Employee.Name FROM Employee "
+            "JOIN Department ON Dept_Id = Id "
+            "WHERE Department.Name = 'Toy' OR Department.Name = 'Shoe'"
+        ).materialize()
+        assert names == sorted(name for (name,) in rows)
+        assert names == ["Cindy", "Dave", "Suzan"]
+
     def test_or_on_fk_field_rewritten(self, figure1_db):
         result = figure1_db.select(
             "Employee", eq("Dept_Id", 459) | eq("Dept_Id", 409)

@@ -15,8 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import Field, FieldType, ForeignKey, MainMemoryDatabase
-from repro.cache.fingerprint import _value_fingerprint
 from repro.errors import StorageError
+from repro.query.predicates import value_fingerprint
 from repro.storage.partition import Partition, PartitionConfig
 from repro.storage.tuples import MAX_PARTITIONS, MAX_SLOTS, TupleRef
 
@@ -85,9 +85,9 @@ def test_the_one_semantic_edge():
     assert TupleRef(0, 5) == 5
     assert hash(TupleRef(0, 5)) == hash(5)
     assert {TupleRef(0, 5): "x"}[5] == "x"
-    assert _value_fingerprint(TupleRef(0, 5)) == ("ref", 0, 5)
-    assert _value_fingerprint(5) == 5
-    assert _value_fingerprint(TupleRef(0, 5)) != _value_fingerprint(5)
+    assert value_fingerprint(TupleRef(0, 5)) == ("ref", 0, 5)
+    assert value_fingerprint(5) == 5
+    assert value_fingerprint(TupleRef(0, 5)) != value_fingerprint(5)
 
 
 @pytest.fixture()
