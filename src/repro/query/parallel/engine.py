@@ -270,8 +270,7 @@ class ParallelBatchExecutor(BatchExecutor):
         if len(inner) <= self.morsel_size:
             # Small build side: group in-process (same charges as one
             # worker morsel would make, minus the shipping).
-            key_of, cost = self._batch_key(descriptor, column)
-            keys = [key_of(row) for row in inner]
+            keys, cost = self._batch_key(descriptor, column, inner)
             count_traverse(len(inner) * cost)
             plain = decode_rows(encode_rows(inner))
             return tasks.build_groups(plain, keys)
@@ -303,8 +302,7 @@ class ParallelBatchExecutor(BatchExecutor):
 
         if len(outer) <= self.morsel_size:
             # Small probe side: probe the groups in-process.
-            key_of, cost = self._batch_key(descriptor, column)
-            keys = [key_of(row) for row in outer]
+            keys, cost = self._batch_key(descriptor, column, outer)
             count_traverse(len(outer) * cost)
             return tasks.probe_groups(groups, outer, keys)
         blob = pickle.dumps(groups, protocol=pickle.HIGHEST_PROTOCOL)

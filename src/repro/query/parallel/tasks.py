@@ -47,6 +47,7 @@ from repro.query.vectorized.compile import compile_predicate
 from repro.query.vectorized.deref import (
     RowFieldAccess,
     ScanFieldAccess,
+    dedup_keys,
     raw_row_extractor,
 )
 
@@ -122,11 +123,11 @@ def merge_packed(counters: OpCounters, packed: Tuple[int, ...]) -> None:
         counters.bump(name, value)
 
 
-def _batch_key(descriptor, column: str):
-    """(extractor over pointer rows, traversal charges per row)."""
+def _batch_key(descriptor, column: str, rows: list):
+    """(join keys of the pointer ``rows``, traversal charges per row)."""
     if column == REF_COLUMN:
-        return (lambda row: row[0]), 0
-    return raw_row_extractor(descriptor, column), 1
+        return [row[0] for row in rows], 0
+    return raw_row_extractor(descriptor, column).column(rows), 1
 
 
 def build_groups(items: list, keys: list) -> dict:
@@ -224,8 +225,7 @@ def _hash_build(payload) -> dict:
     token, spec, column, packed = payload
     descriptor = rebuild(_CATALOGS[token], spec)
     rows = decode_rows(packed)
-    key_of, cost = _batch_key(descriptor, column)
-    keys = [key_of(row) for row in rows]
+    keys, cost = _batch_key(descriptor, column, rows)
     count_traverse(len(rows) * cost)
     return build_groups(rows, keys)
 
@@ -247,8 +247,7 @@ def _hash_probe(payload) -> tuple:
     else:
         _TABLE_CACHE.move_to_end(cache_key)
     rows = decode_rows(packed)
-    key_of, cost = _batch_key(descriptor, column)
-    keys = [key_of(row) for row in rows]
+    keys, cost = _batch_key(descriptor, column, rows)
     count_traverse(len(rows) * cost)
     return encode_rows(probe_groups(groups, rows, keys))
 
@@ -258,16 +257,8 @@ def _hash_dedup(payload) -> list:
     token, spec, columns, packed = payload
     descriptor = rebuild(_CATALOGS[token], spec)
     rows = decode_rows(packed)
-    raw = [raw_row_extractor(descriptor, name) for name in columns]
-    if len(raw) == 1:
-        key_of = raw[0]
-    else:
-
-        def key_of(row):
-            return tuple(extract(row) for extract in raw)
-
-    keys = [key_of(row) for row in rows]
-    count_traverse(len(rows) * len(raw))
+    keys = dedup_keys(descriptor, columns, rows)
+    count_traverse(len(rows) * len(columns))
     return local_dedup(rows, keys)
 
 

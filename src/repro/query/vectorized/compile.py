@@ -4,8 +4,9 @@ The tuple engine dispatches through the predicate AST once *per tuple*
 (``Predicate.matches`` -> enum checks -> reader closure -> extractor).
 Here the AST is walked once per operator and lowered into a chain of
 eval-free closures over :mod:`operator` functions; evaluating a batch
-is then a single list comprehension per comparison plus bulk counter
-updates.
+is then one column read per comparison (a field the predicate reads
+once per item goes through ``Relation.reader``'s ``column`` form), one
+list comprehension over the values, and bulk counter updates.
 
 Counting is tuple-engine-equivalent by construction:
 
@@ -115,12 +116,20 @@ def _compile_comparison(cmp: Comparison, access, multi) -> MaskFn:
     memoize = multi is None or cmp.field in multi
     extract = access.extractor(cmp.field, memoize=memoize)
     counts_traversals = access.counts_traversals
+    if memoize:
+
+        def values(items: Sequence[Any]) -> List[Any]:
+            return [extract(item) for item in items]
+
+    else:
+        # A single-use field: one column read over the whole batch.
+        values = extract.column
 
     if cmp.op is Op.BETWEEN:
         low, high = cmp.value, cmp.high
 
         def mask(items: Sequence[Any]) -> List[bool]:
-            out = [low <= extract(item) <= high for item in items]
+            out = [low <= v <= high for v in values(items)]
             count_compare(2 * len(items))
             if counts_traversals:
                 count_traverse(len(items))
@@ -132,7 +141,7 @@ def _compile_comparison(cmp: Comparison, access, multi) -> MaskFn:
     value = cmp.value
 
     def mask(items: Sequence[Any]) -> List[bool]:
-        out = [op_fn(extract(item), value) for item in items]
+        out = [op_fn(v, value) for v in values(items)]
         count_compare(len(items))
         if counts_traversals:
             count_traverse(len(items))

@@ -1,16 +1,21 @@
-"""Per-operator dereference caching.
+"""Per-operator dereference caching over the one physical dereference.
 
 The paper's cost model charges one pointer traversal per (tuple, field)
-extraction.  The tuple-at-a-time engine *performs* one physical
-dereference per charge; operators that touch the same field of the same
-tuple repeatedly (quicksort keys, hash-chain re-extractions, duplicate
-elimination) pay the physical work again each time.  The extractors
-here memoize the extracted value per tuple pointer so the physical
-dereference happens at most once per operator, while the *logical*
-traversal is still counted exactly as the tuple engine counts it — the
-paper's graphs stay reproducible — and every avoided physical
+extraction.  Physically, every extraction here is
+:meth:`Relation.reader <repro.storage.relation.Relation.reader>`: one
+fused slot read out of the partition, with the checked walk through
+``_locate`` only for forwarded, deleted or missing tuples.  Operators
+that touch the same field of the same tuple repeatedly (quicksort keys,
+hash-chain re-extractions, duplicate elimination) would pay that read
+again each time.  The memoizing extractors here keep the extracted
+value per tuple pointer, so a memo hit saves one fused read, while the
+*logical* traversal is still counted exactly as the tuple engine counts
+it — the paper's graphs stay reproducible — and every avoided physical
 dereference is tallied separately under
 ``OpCounters.extra["deref_saved_traversals"]``.
+
+The raw (unmemoized) readers are for fields an operator reads once per
+item; they carry ``column(items)``, the same read a batch at a time.
 
 Caveat: forwarding-chain hops (left behind by heap-overflow
 relocations, footnote 1) are only re-counted on a physical miss; a
@@ -22,7 +27,7 @@ state measurements, which never relocate).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.instrument import count_event, count_traverse
 from repro.obs import runtime as obs_runtime
@@ -87,12 +92,11 @@ def ref_extractor(
     callers that batch-count traversals use this variant.  With
     ``counted=True`` every call charges one traversal, mirroring
     ``Relation.key_extractor``.  Either way a memo hit skips the
-    physical ``_locate`` + field read; hits accumulate locally and land
-    under :data:`DEREF_SAVED_COUNTER` when the caller invokes the
+    physical read; hits accumulate locally and land under
+    :data:`DEREF_SAVED_COUNTER` when the caller invokes the
     extractor's ``flush()``.
     """
-    position = relation.physical_schema.position(field_name)
-    locate = relation._locate
+    read = relation.reader(field_name)
     memo: dict = {}
     miss = _MISS
     pending = [0, 0]
@@ -103,9 +107,7 @@ def ref_extractor(
             count_traverse()
             value = memo.get(ref, miss)
             if value is miss:
-                part, slot = locate(ref)
-                value = part.read_field(slot, position)
-                memo[ref] = value
+                value = memo[ref] = read(ref)
                 pending[1] += 1
             else:
                 pending[0] += 1
@@ -116,9 +118,7 @@ def ref_extractor(
         def extract(ref: TupleRef) -> Any:
             value = memo.get(ref, miss)
             if value is miss:
-                part, slot = locate(ref)
-                value = part.read_field(slot, position)
-                memo[ref] = value
+                value = memo[ref] = read(ref)
                 pending[1] += 1
             else:
                 pending[0] += 1
@@ -140,10 +140,8 @@ def row_extractor(
     accumulate locally; callers publish them via ``extract.flush()``.
     """
     col = descriptor.column(column_name)
-    relation = descriptor.sources[col.source]
-    position = relation.physical_schema.position(col.field)
+    read = descriptor.sources[col.source].reader(col.field)
     source = col.source
-    locate = relation._locate
     memo: dict = {}
     miss = _MISS
     pending = [0, 0]
@@ -155,9 +153,7 @@ def row_extractor(
             ref = row[source]
             value = memo.get(ref, miss)
             if value is miss:
-                part, slot = locate(ref)
-                value = part.read_field(slot, position)
-                memo[ref] = value
+                value = memo[ref] = read(ref)
                 pending[1] += 1
             else:
                 pending[0] += 1
@@ -169,34 +165,13 @@ def row_extractor(
             ref = row[source]
             value = memo.get(ref, miss)
             if value is miss:
-                part, slot = locate(ref)
-                value = part.read_field(slot, position)
-                memo[ref] = value
+                value = memo[ref] = read(ref)
                 pending[1] += 1
             else:
                 pending[0] += 1
             return value
 
     return _attach_flush(extract, pending)
-
-
-def raw_ref_extractor(
-    relation: Relation, field_name: str
-) -> Callable[[TupleRef], Any]:
-    """An unmemoized, uncounted ``ref -> field value`` reader.
-
-    For predicate fields the compiled mask reads exactly once per item:
-    there the memo can never hit, so its dict (and ``TupleRef`` hash)
-    overhead is pure loss and the plain dereference is cheapest.
-    """
-    position = relation.physical_schema.position(field_name)
-    locate = relation._locate
-
-    def extract(ref: TupleRef) -> Any:
-        part, slot = locate(ref)
-        return part.read_field(slot, position)
-
-    return extract
 
 
 def raw_row_extractor(
@@ -207,18 +182,41 @@ def raw_row_extractor(
     For kernels that touch each row's key exactly once and charge the
     traversals in bulk themselves (e.g. hash duplicate elimination):
     there a memo can never hit, so the plain dereference is cheapest.
+    Its ``column(rows)`` reads a whole batch through the source
+    relation's ``reader.column``.
     """
     col = descriptor.column(column_name)
-    relation = descriptor.sources[col.source]
-    position = relation.physical_schema.position(col.field)
+    read = descriptor.sources[col.source].reader(col.field)
+    read_column = read.column
     source = col.source
-    locate = relation._locate
 
     def extract(row: Tuple[TupleRef, ...]) -> Any:
-        part, slot = locate(row[source])
-        return part.read_field(slot, position)
+        return read(row[source])
 
+    def column(rows: Sequence[Tuple[TupleRef, ...]]) -> List[Any]:
+        return read_column([row[source] for row in rows])
+
+    extract.column = column
     return extract
+
+
+def dedup_keys(
+    descriptor: ResultDescriptor,
+    column_names: Sequence[str],
+    rows: Sequence[Tuple[TupleRef, ...]],
+) -> List[Any]:
+    """The duplicate-elimination keys of ``rows``, one column read per
+    key column: a row's value for one column, a tuple of its values for
+    several."""
+    columns = [
+        raw_row_extractor(descriptor, name).column(rows)
+        for name in column_names
+    ]
+    if len(columns) == 1:
+        return columns[0]
+    if not columns:
+        return [()] * len(rows)
+    return list(zip(*columns))
 
 
 class ScanFieldAccess:
@@ -238,7 +236,8 @@ class ScanFieldAccess:
     def extractor(
         self, field_name: str, memoize: bool = True
     ) -> Callable[[TupleRef], Any]:
-        """Field extractor; ``memoize=False`` returns a raw reader.
+        """Field extractor; ``memoize=False`` returns the relation's own
+        unmemoized :meth:`~repro.storage.relation.Relation.reader`.
 
         The compiler passes ``memoize=False`` for fields its predicate
         reads at most once per item — there a memo can never hit, so
@@ -253,7 +252,7 @@ class ScanFieldAccess:
                     self.relation, field_name, counted=False
                 )
             else:
-                ext = raw_ref_extractor(self.relation, field_name)
+                ext = self.relation.reader(field_name)
             self._extractors[key] = ext
         return ext
 

@@ -45,6 +45,7 @@ from repro.query.vectorized.compile import compile_predicate
 from repro.query.vectorized.deref import (
     RowFieldAccess,
     ScanFieldAccess,
+    dedup_keys,
     raw_row_extractor,
     row_extractor,
 )
@@ -178,14 +179,14 @@ class BatchExecutor(Executor):
         inner: List[Row],
     ) -> List[Row]:
         """Hash equi-join: build ``inner``, probe with ``outer``."""
-        inner_key, inner_cost = self._batch_key(right_desc, node.right_col)
-        outer_key, outer_cost = self._batch_key(left_desc, node.left_col)
         with obs_runtime.span("hash_join.build", "join_phase"):
-            table = build_hash_table(inner, inner_key)
-            count_traverse(len(inner) * inner_cost)
+            keys, cost = self._batch_key(right_desc, node.right_col, inner)
+            table = build_hash_table(inner, keys)
+            count_traverse(len(inner) * cost)
         with obs_runtime.span("hash_join.probe", "join_phase"):
-            rows = probe_hash_table(table, outer, outer_key)
-            count_traverse(len(outer) * outer_cost)
+            keys, cost = self._batch_key(left_desc, node.left_col, outer)
+            rows = probe_hash_table(table, outer, keys)
+            count_traverse(len(outer) * cost)
         return rows
 
     def _dedup_rows(
@@ -201,17 +202,8 @@ class BatchExecutor(Executor):
         totals match the tuple engine exactly.
         """
         if node.dedup_method == "hash":
-            raw = [
-                raw_row_extractor(descriptor, name) for name in node.columns
-            ]
-            if len(raw) == 1:
-                key_of = raw[0]
-            else:
-
-                def key_of(row: Row) -> Tuple[Any, ...]:
-                    return tuple(extract(row) for extract in raw)
-
-            return dedup_hash_rows(rows, key_of, keys_per_row=len(raw))
+            keys = dedup_keys(descriptor, node.columns, rows)
+            return dedup_hash_rows(rows, keys, keys_per_row=len(node.columns))
         extractors = [
             row_extractor(descriptor, name, counted=True)
             for name in node.columns
@@ -230,12 +222,13 @@ class BatchExecutor(Executor):
         )
 
     def _batch_key(
-        self, descriptor: ResultDescriptor, column: str
-    ) -> Tuple[Callable[[Row], Any], int]:
-        """Hash-kernel join key: ``(extractor, traversals per row)``.
+        self, descriptor: ResultDescriptor, column: str, rows: List[Row]
+    ) -> Tuple[List[Any], int]:
+        """Hash-kernel join keys of ``rows``: ``(keys, traversals per
+        row)``.
 
-        The kernel keys each row exactly once, so the extractor is a
-        raw (unmemoized) reader and the caller charges the logical
+        The kernel keys each row exactly once, so the keys are one
+        column read (no memo) and the caller charges the logical
         traversals in bulk — one per keyed row, what the tuple engine's
         per-call extractor charges — after the build/probe pass.
         ``REF_COLUMN`` keys on the row's own pointer, which the tuple
@@ -247,12 +240,8 @@ class BatchExecutor(Executor):
                     f"{REF_COLUMN} is ambiguous over "
                     f"{len(descriptor.sources)} sources"
                 )
-
-            def self_ref(row: Row) -> TupleRef:
-                return row[0]
-
-            return self_ref, 0
-        return raw_row_extractor(descriptor, column), 1
+            return [row[0] for row in rows], 0
+        return raw_row_extractor(descriptor, column).column(rows), 1
 
     # ------------------------------------------------------------------ #
     # cached-key hooks into the reference algorithms

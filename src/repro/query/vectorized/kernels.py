@@ -7,10 +7,16 @@ equal-key matches are emitted newest-first — the same order the tuple
 engine's Chained Bucket Hash produces (its chains are LIFO), so results
 are bit-identical.
 
+The hash kernels take their keys as a list parallel to the rows,
+computed by the caller once per batch — a column read through
+``Relation.reader`` (:func:`repro.query.vectorized.deref.raw_row_extractor`)
+— the same shape the morsel workers' ``build_groups`` / ``probe_groups``
+take.
+
 Counting: the kernel charges what it actually does — one hash per
 build/probe row, one move per build insert and per emitted pair, one
-allocation per partition header — and key extraction is charged by the
-(dereference-cached) extractors it is given.  That is strictly *less*
+allocation per partition header — and the caller charges the key
+extractions in bulk.  That is strictly *less*
 than the tuple engine's chained-hash totals, which additionally pay
 chain traversals, chain comparisons and per-chain-node key
 re-extractions; differential tests assert the elementwise bound.  Hash
@@ -74,17 +80,17 @@ def _fit_partitions(n_rows: int, ceiling: int) -> int:
 
 def build_hash_table(
     rows: Sequence[Any],
-    key_of: KeyOf,
+    keys: Sequence[Any],
     n_partitions: int = None,
 ) -> PartitionedHashTable:
-    """Build phase: partition the inner input by join key."""
+    """Build phase: partition the inner input by its parallel join
+    ``keys``."""
     if n_partitions is None:
         n_partitions = _fit_partitions(len(rows), DEFAULT_PARTITIONS)
     table = PartitionedHashTable(n_partitions)
     partitions = table.partitions
     mask = table.mask
-    for row in rows:
-        key = key_of(row)
+    for row, key in zip(rows, keys):
         bucket = partitions[hash(key) & mask]
         matches = bucket.get(key)
         if matches is None:
@@ -100,9 +106,10 @@ def build_hash_table(
 def probe_hash_table(
     table: PartitionedHashTable,
     rows: Sequence[Tuple[Any, ...]],
-    key_of: KeyOf,
+    keys: Sequence[Any],
 ) -> List[Tuple[Any, ...]]:
-    """Probe phase: one batch of outer rows -> combined output rows.
+    """Probe phase: one batch of outer rows and their parallel join
+    ``keys`` -> combined output rows.
 
     Emits ``outer_row + inner_row`` concatenations.  Equal-key matches
     come out newest-inserted-first (``reversed``), matching the LIFO
@@ -113,8 +120,7 @@ def probe_hash_table(
     mask = table.mask
     out: List[Tuple[Any, ...]] = []
     append = out.append
-    for row in rows:
-        key = key_of(row)
+    for row, key in zip(rows, keys):
         matches = partitions[hash(key) & mask].get(key)
         if matches is not None:
             for inner_row in reversed(matches):
@@ -126,7 +132,7 @@ def probe_hash_table(
 
 def dedup_hash_rows(
     rows: Sequence[Any],
-    key_of: KeyOf,
+    keys: Sequence[Any],
     keys_per_row: int = 1,
 ) -> List[Any]:
     """Hash duplicate elimination, dict-based (first occurrence wins).
@@ -135,19 +141,20 @@ def dedup_hash_rows(
     same result rows in the same order, but the chained-bucket walk —
     and its per-chain-node key re-extractions — collapse into one dict
     membership test per row.  Charges one hash per row, one traversal
-    per key column per row (what ``key_of`` would charge row-wise) and
+    per key column per row (what a counted key extractor would charge
+    row-wise) and
     one move per surviving row; the tuple engine's totals additionally
     pay the chain traversals/comparisons, so this is elementwise
     cheaper — outside the strict equivalence contract, like the hash
-    join kernel.  ``key_of`` must be an *uncounted* extractor; this
-    function charges the traversals in bulk.
+    join kernel.  ``keys`` are the rows' dedup keys, read uncounted
+    (``keys_per_row`` columns each); this function charges the
+    traversals in bulk.
     """
     seen = set()
     add = seen.add
     out: List[Any] = []
     append = out.append
-    for row in rows:
-        key = key_of(row)
+    for row, key in zip(rows, keys):
         if key not in seen:
             add(key)
             append(row)

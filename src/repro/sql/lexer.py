@@ -43,9 +43,12 @@ KEYWORDS = {
 
 #: The literal and identifier sub-patterns.  :mod:`repro.sql.template`
 #: builds its literal lifter from the same strings, so the lifter and the
-#: lexer cannot disagree about where a literal starts and ends.
-FLOAT_PATTERN = r"\d+\.\d+"
-INT_PATTERN = r"\d+"
+#: lexer cannot disagree about where a literal starts and ends.  A number
+#: may carry a leading ``-``: the dialect has no arithmetic, so a minus
+#: sign can only start a literal.
+SIGN = "-"
+FLOAT_PATTERN = rf"{SIGN}?\d+\.\d+"
+INT_PATTERN = rf"{SIGN}?\d+"
 STRING_PATTERN = r"'(?:[^']|'')*'"
 IDENT_START = "A-Za-z_"
 IDENT_CONTINUE = "A-Za-z_0-9."

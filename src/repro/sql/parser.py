@@ -34,6 +34,8 @@ Grammar (keywords case-insensitive)::
     delete         := DELETE FROM ident
                       [WHERE condition (AND condition)*]
     explain        := EXPLAIN [ANALYZE] select
+    literal        := int | float | string | NULL | '?'
+                      -- an int or float may carry a leading '-'
 
 Statements parse into plain dataclasses (below); the interpreter lowers
 them onto the engine.
@@ -506,9 +508,9 @@ class _Parser:
         limit = None
         if self.accept_keyword("LIMIT"):
             token = self.advance()
-            if token.type is not TokenType.INT:
+            if token.type is not TokenType.INT or token.value[0] == "-":
                 raise SQLSyntaxError(
-                    f"LIMIT needs an integer, got {token.value!r}"
+                    f"LIMIT needs a non-negative integer, got {token.value!r}"
                 )
             limit = int(token.value)
         return Select(

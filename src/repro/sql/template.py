@@ -36,6 +36,7 @@ from repro.query.predicates import Comparison, Op
 from repro.sql import parser as ast
 from repro.sql.lexer import (
     IDENT_CONTINUE,
+    SIGN,
     STRING_PATTERN,
     SQLSyntaxError,
     Token,
@@ -51,13 +52,15 @@ TEMPLATE_CAPACITY = 256
 
 # A string literal, or a number that does not continue an identifier
 # (``T0.c1`` holds no literal) and is not the count of ``LIMIT n``.  The
-# number branch consumes its first digit before the look-behinds so the
-# pattern starts with a fixed character set (quote or digit) the regex
-# engine can skip to; it matches exactly the lexer's float | int.
+# number branch consumes its first character — a sign or a digit — before
+# the look-behinds, so the pattern starts with a fixed character set
+# (quote, sign or digit) the regex engine can skip to; a sign must be
+# followed by a digit.  It matches exactly the lexer's float | int, so
+# ``-1`` and ``1`` share a key.
 _LIFT_RE = re.compile(
     rf"({STRING_PATTERN}"
-    rf"|\d(?<![{IDENT_CONTINUE}]\d)(?<![Ll][Ii][Mm][Ii][Tt]\s\d)"
-    r"\d*(?:\.\d+)?)"
+    rf"|[{SIGN}\d](?<![{IDENT_CONTINUE}]\d)(?<![Ll][Ii][Mm][Ii][Tt]\s\d)"
+    rf"(?<=\d|{SIGN}(?=\d))\d*(?:\.\d+)?)"
 )
 
 
@@ -67,15 +70,15 @@ def lift(text: str) -> Tuple[str, Tuple[Any, ...]]:
     params: List[Any] = []
     for position in range(1, len(parts), 2):
         literal = parts[position]
-        if literal.isdecimal():
-            params.append(int(literal))
-            parts[position] = "?i"
-        elif literal[0] == "'":
+        if literal[0] == "'":
             params.append(unquote(literal))
             parts[position] = "?s"
-        else:
+        elif "." in literal:
             params.append(float(literal))
             parts[position] = "?f"
+        else:
+            params.append(int(literal))
+            parts[position] = "?i"
     # No string literal is left in the key, so collapsing whitespace
     # cannot change a constant.
     key = " ".join("".join(parts).split())

@@ -10,7 +10,9 @@ Section 2.1 rules implemented here:
   forwarding address (footnote 1), which :meth:`Relation.resolve` follows
   transparently;
 * indexes hold tuple pointers and extract attribute values through them
-  (Section 2.2), implemented by :meth:`Relation.key_extractor`.
+  (Section 2.2), implemented by :meth:`Relation.key_extractor` over
+  :meth:`Relation.reader`, the one physical dereference every
+  pointer-to-field read in the repository takes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.indexes.base import Index
 from repro.instrument import count_traverse
 from repro.storage.partition import Partition, PartitionConfig
 from repro.storage.schema import FieldType, Schema
-from repro.storage.tuples import TupleRef
+from repro.storage.tuples import HeapPtr, TupleRef
 
 
 # Global monotonic clock for relation versions.  Every mutation of any
@@ -86,6 +88,8 @@ class Relation:
         #: instead of a bare missing-partition StorageError, and healing
         #: (adopting a good image) clears the mark.
         self._quarantined: Dict[int, str] = {}
+        #: field name -> the one physical dereference (:meth:`reader`).
+        self._readers: Dict[str, Callable[[TupleRef], Any]] = {}
         # Monotonic version: bumped by every insert/update/delete and by
         # index DDL (plans depend on available access paths).  Cached
         # plans/results record the versions they observed; a mismatch
@@ -183,28 +187,31 @@ class Relation:
     # index management
     # ------------------------------------------------------------------ #
 
-    def key_extractor(self, field_name: str) -> Callable[[TupleRef], Any]:
-        """A function extracting ``field_name`` through a tuple pointer.
+    def reader(self, field_name: str) -> Callable[[TupleRef], Any]:
+        """The one physical dereference: ``ref -> field value``, uncounted.
 
-        This is the paper's "a single tuple pointer provides the index
-        with access to both the attribute value of a tuple and the tuple
-        itself".  Each extraction counts one pointer traversal.
-
-        The returned function carries an ``uncounted`` attribute: the
-        same extraction without that one charge, for an index that
-        accumulates its counts in locals and charges them once per
-        operation (see :meth:`repro.indexes.base.Index.uncounted_key`).
-
-        The common case — a live tuple where the pointer says, holding
-        an inline value — is read straight out of the partition's slot
-        array.  Everything else takes :meth:`_locate` and
+        This is the paper's "a single tuple pointer provides ... access
+        to both the attribute value of a tuple and the tuple itself"
+        (Section 2.2) as one pointer follow.  The common case — a live
+        tuple where the pointer says — is read straight out of the
+        partition's slot array, a value in the heap loaded from the same
+        partition.  Everything else takes :meth:`_locate` and
         ``Partition.read_field``, which count the forwarding hops and
-        raise the storage errors: a missing partition or slot
-        (``KeyError`` / ``IndexError``), a forwarding address or a
-        deleted slot (neither can be subscripted: ``TypeError``), a
-        value in the heap.  Slots are never negative: tuple pointers are
-        only minted by :meth:`insert`.
+        raise the storage errors: a missing or quarantined partition
+        (``KeyError``), a slot past the end (``IndexError``), a
+        forwarding address or a deleted slot (neither can be
+        subscripted: ``TypeError``).  Slots are never negative: tuple
+        pointers are only minted by :meth:`insert`.
+
+        The reader carries ``column(refs) -> list``, the same read over
+        a batch in one list comprehension.  A heap field, or a batch in
+        which any ref misses the common case, is re-read ref by ref, so
+        a column charges and raises exactly what its refs would one at
+        a time.  Readers are made once per field and shared.
         """
+        read = self._readers.get(field_name)
+        if read is not None:
+            return read
         position = self.physical_schema.position(field_name)
         in_heap = self.physical_schema.fields[position].type is FieldType.STR
         parts = self._partitions  # cleared and refilled, never rebound
@@ -218,8 +225,41 @@ class Relation:
             else:
                 if not in_heap or value is None:
                     return value
+                if isinstance(value, HeapPtr):
+                    return parts[ref >> 32]._heap_load(value)
             part, slot = locate(ref)
             return part.read_field(slot, position)
+
+        if in_heap:
+
+            def column(refs: Sequence[TupleRef]) -> List[Any]:
+                return [read(ref) for ref in refs]
+
+        else:
+
+            def column(refs: Sequence[TupleRef]) -> List[Any]:
+                try:
+                    return [
+                        parts[ref >> 32]._slots[ref & 0xFFFFFFFF][position]
+                        for ref in refs
+                    ]
+                except (KeyError, IndexError, TypeError):
+                    return [read(ref) for ref in refs]
+
+        read.column = column
+        self._readers[field_name] = read
+        return read
+
+    def key_extractor(self, field_name: str) -> Callable[[TupleRef], Any]:
+        """A function extracting ``field_name`` through a tuple pointer.
+
+        :meth:`reader` with one counted pointer traversal per
+        extraction.  The returned function carries the reader itself as
+        its ``uncounted`` attribute, for an index that accumulates its
+        counts in locals and charges them once per operation (see
+        :meth:`repro.indexes.base.Index.uncounted_key`).
+        """
+        read = self.reader(field_name)
 
         def extract(ref: TupleRef) -> Any:
             count_traverse()
@@ -236,13 +276,16 @@ class Relation:
         Section 2.2: "since a single tuple pointer provides access to any
         field in the tuple, multi-attribute indices will need less in the
         way of special mechanisms" — here it is simply a tuple of fields.
+        One counted traversal per key; the pointer is resolved once, so a
+        forwarding chain is charged once, not once per field.
         """
-        positions = [self.physical_schema.position(n) for n in field_names]
+        readers = [self.reader(name) for name in field_names]
+        resolve = self.resolve
 
         def extract(ref: TupleRef) -> tuple:
             count_traverse()
-            part, slot = self._locate(ref)
-            return tuple(part.read_field(slot, p) for p in positions)
+            ref = resolve(ref)
+            return tuple([read(ref) for read in readers])
 
         return extract
 
@@ -429,15 +472,17 @@ class Relation:
         return TupleRef(part.id, slot)
 
     def fetch(self, ref: TupleRef) -> List[object]:
-        """Materialise the full physical row behind ``ref``."""
-        part, slot = self._locate(ref)
-        return part.read(slot)
+        """Materialise the full physical row behind ``ref``: the pointer
+        resolved once, then every field through its :meth:`reader`."""
+        ref = self.resolve(ref)
+        return [
+            self.reader(field.name)(ref)
+            for field in self.physical_schema.fields
+        ]
 
     def read_field(self, ref: TupleRef, field_name: str) -> object:
         """Materialise one field behind ``ref`` (physical value)."""
-        position = self.physical_schema.position(field_name)
-        part, slot = self._locate(ref)
-        return part.read_field(slot, position)
+        return self.reader(field_name)(ref)
 
     def update(self, ref: TupleRef, field_name: str, value: object) -> None:
         """Update one field in place, maintaining affected indexes.

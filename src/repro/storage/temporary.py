@@ -235,14 +235,12 @@ class TemporaryList:
     ) -> Callable[[Tuple[TupleRef, ...]], Any]:
         """A function mapping a pointer row to one output column's value."""
         col = self.descriptor.column(column_name)
-        relation = self.descriptor.sources[col.source]
-        position = relation.physical_schema.position(col.field)
+        read = self.descriptor.sources[col.source].reader(col.field)
         source = col.source
 
         def extract(row: Tuple[TupleRef, ...]) -> Any:
             count_traverse()
-            part, slot = relation._locate(row[source])
-            return part.read_field(slot, position)
+            return read(row[source])
 
         return extract
 
@@ -260,7 +258,7 @@ class TemporaryList:
         for col in self.descriptor.columns:
             relation = self.descriptor.sources[col.source]
             count_traverse()
-            value = relation.read_field(row[col.source], col.field)
+            value = relation.reader(col.field)(row[col.source])
             if resolve_refs and isinstance(value, TupleRef):
                 logical = relation.schema.field(col.field)
                 if logical.references is not None:

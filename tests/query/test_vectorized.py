@@ -169,13 +169,13 @@ class TestKernels:
 
     def test_probe_emits_lifo_matches(self):
         rows = [("a", 1), ("b", 1), ("c", 2)]
-        table = build_hash_table(rows, lambda row: row[1])
-        out = probe_hash_table(table, [("x", 1)], lambda row: row[1])
+        table = build_hash_table(rows, [row[1] for row in rows])
+        out = probe_hash_table(table, [("x", 1)], [1])
         assert out == [("x", 1, "b", 1), ("x", 1, "a", 1)]
 
     def test_dedup_keeps_first_occurrence(self):
         rows = [("a", 1), ("b", 2), ("c", 1), ("d", 3), ("e", 2)]
-        out = dedup_hash_rows(rows, lambda row: row[1])
+        out = dedup_hash_rows(rows, [row[1] for row in rows])
         assert out == [("a", 1), ("b", 2), ("d", 3)]
 
 

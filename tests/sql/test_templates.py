@@ -39,7 +39,12 @@ floats = st.tuples(
 strings = st.text(
     alphabet="ab '1.5;?LIMIT 7\n", max_size=12
 ).map(lambda body: "'" + body.replace("'", "''") + "'")
-literals = st.one_of(ints, floats, strings, st.just("NULL"))
+signs = st.sampled_from(["", "-"])
+literals = st.one_of(
+    st.tuples(signs, st.one_of(ints, floats)).map("".join),
+    strings,
+    st.just("NULL"),
+)
 gaps = st.sampled_from([" ", "  ", "\n", " \t "])
 
 
