@@ -54,7 +54,6 @@ from repro.query.predicates import (
     _FKValueComparison,
     _NeverMatches,
 )
-from repro.query.project import project_hash, project_sort_scan
 from repro.recovery.restart import RecoveryManager, RestartStats
 from repro.storage.catalog import Catalog
 from repro.storage.partition import Partition, PartitionConfig
@@ -1049,17 +1048,15 @@ class MainMemoryDatabase:
         deduplicate: bool = False,
         method: str = "hash",
     ) -> TemporaryList:
-        """Descriptor projection with optional duplicate elimination."""
+        """Descriptor projection with optional duplicate elimination, run
+        by the active engine's
+        :meth:`~repro.query.executor.Executor.dedup_rows`."""
         projected = result.project(list(columns))
         if not deduplicate:
             return projected
-        extractors = [projected.value_extractor(name) for name in columns]
-
-        def row_key(row: Tuple[TupleRef, ...]) -> Tuple[Any, ...]:
-            return tuple(extract(row) for extract in extractors)
-
-        dedupe = project_hash if method == "hash" else project_sort_scan
-        rows = dedupe(projected.rows(), row_key)
+        rows = self.executor.dedup_rows(
+            projected.descriptor, projected.rows(), columns, method
+        )
         return TemporaryList(projected.descriptor, rows)
 
     def explain(self, plan: PlanNode) -> str:

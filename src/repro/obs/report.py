@@ -11,7 +11,7 @@ telemetry) into an aligned plain-text report:
   statement;
 * **slow queries** — the most recent slow-log entries;
 * **per-worker telemetry** — morsels, busy/queue-wait seconds, and
-  deref-cache hit rates per worker pid.
+  retried/quarantined morsels per worker pid.
 
 The report is inspection-only: rendering reads retained state and
 charges nothing, so it can run mid-benchmark without perturbing counts.
@@ -26,13 +26,6 @@ def _fmt_ms(seconds: Optional[float]) -> str:
     if seconds is None:
         return "-"
     return f"{seconds * 1000.0:.3f}ms"
-
-
-def _fmt_rate(hits: int, misses: int) -> str:
-    total = hits + misses
-    if total == 0:
-        return "-"
-    return f"{hits / total * 100.0:.1f}%"
 
 
 def _clip(text: str, width: int = 48) -> str:
@@ -137,15 +130,12 @@ def render_report(
                 str(stats.get("morsels", 0)),
                 _fmt_ms(stats.get("busy_seconds", 0.0)),
                 _fmt_ms(stats.get("queue_wait_seconds", 0.0)),
-                _fmt_rate(
-                    stats.get("deref_hits", 0), stats.get("deref_misses", 0)
-                ),
                 str(stats.get("retried_morsels", 0)),
                 str(stats.get("quarantined_morsels", 0)),
             ])
         lines.extend(_table(
-            ["worker", "morsels", "busy", "queue_wait",
-             "deref_hit_rate", "retried", "quarantined"],
+            ["worker", "morsels", "busy", "queue_wait", "retried",
+             "quarantined"],
             rows,
         ))
         lines.append("")

@@ -8,7 +8,7 @@ results — the paper's central storage discipline.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Tuple, Union
+from typing import Any, Callable, List, Sequence, Tuple, Union
 
 from repro.errors import PlanError
 from repro.obs import runtime as obs_runtime
@@ -253,18 +253,38 @@ class Executor:
         projected = child.project(list(node.columns))
         if not node.deduplicate:
             return projected
-        extractors = [
-            projected.value_extractor(name) for name in node.columns
-        ]
+        unique_rows = self.dedup_rows(
+            projected.descriptor,
+            projected.rows(),
+            node.columns,
+            node.dedup_method,
+        )
+        return TemporaryList(projected.descriptor, unique_rows)
+
+    def dedup_rows(
+        self,
+        descriptor: ResultDescriptor,
+        rows: List[Tuple[TupleRef, ...]],
+        columns: Sequence[str],
+        method: str = "hash",
+    ) -> List[Tuple[TupleRef, ...]]:
+        """Duplicate elimination on ``columns``: the first occurrence of
+        each key survives, in input order.
+
+        The one duplicate-elimination hook: plan projections and
+        ``MainMemoryDatabase.project`` (SQL ``DISTINCT``) both call it,
+        so each engine runs its own algorithm.  Here, the paper's
+        ``project_hash`` or ``project_sort_scan`` over counted key
+        extractors.
+        """
+        result = TemporaryList(descriptor, rows)
+        extractors = [result.value_extractor(name) for name in columns]
 
         def row_key(row: Tuple[TupleRef, ...]) -> Tuple[Any, ...]:
             return tuple(extract(row) for extract in extractors)
 
-        if node.dedup_method == "hash":
-            unique_rows = project_hash(projected.rows(), row_key)
-        else:
-            unique_rows = project_sort_scan(projected.rows(), row_key)
-        return TemporaryList(projected.descriptor, unique_rows)
+        dedupe = project_hash if method == "hash" else project_sort_scan
+        return dedupe(rows, row_key)
 
     # ------------------------------------------------------------------ #
     # ordering

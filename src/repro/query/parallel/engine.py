@@ -9,7 +9,7 @@ batch engine's four row kernels out over a
   pointers / rows;
 * ``_hash_join_rows`` — parallel partitioned build *and* probe,
   broadcast of the merged build table as one pickled blob;
-* ``_dedup_rows`` — hash duplicate elimination, local dedup per morsel,
+* ``dedup_rows`` — hash duplicate elimination, local dedup per morsel,
   ordered merge.
 
 Those four overrides are all it changes: every node still materialises
@@ -26,10 +26,9 @@ workers, and the coordinator charges the whole-operator constants (the
 hash-table partition allocation, the dedup set allocation, the final
 moves).  Summed, the five Section 3.1 counters are *identical* for any
 ``workers`` — including 1, which never reaches this class — and
-identical to the scalar batch engine.  The one deliberate exception is
-the ``deref_saved_traversals`` extra: a per-morsel memo cannot span
-morsels, so on repeated-pointer inputs (filters over join output) the
-reported physical savings may be lower than the scalar engine's.
+identical to the scalar batch engine.  No worker task memoizes a
+dereference, so neither engine reports ``deref_saved_traversals`` for
+the four kernels.
 
 Per-morsel counts merge under a ``<op>.morsel`` span each, so with
 tracing active the rollup places every worker's ops inside the
@@ -39,7 +38,7 @@ operator span that dispatched it.
 from __future__ import annotations
 
 import pickle
-from typing import Any, List, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.instrument import count_alloc, count_move, count_traverse
 from repro.instrument.counters import current_counters
@@ -59,7 +58,7 @@ from repro.query.parallel.transport import (
     plain_predicate,
     slice_packed,
 )
-from repro.query.plan import FilterNode, JoinNode, ProjectNode, ScanNode
+from repro.query.plan import FilterNode, JoinNode, ScanNode
 from repro.query.vectorized.config import (
     DEFAULT_MORSEL_SIZE,
     DEFAULT_RETRY_ATTEMPTS,
@@ -125,8 +124,8 @@ class ParallelBatchExecutor(BatchExecutor):
         span tree is grafted *under* the morsel span (purely structural
         — the morsel's counters still come exclusively from the
         ``merge_packed`` rollup, so root totals are untouched), and the
-        morsel span is annotated with the worker pid, queue wait, deref
-        tallies, and any injected-fault events the scheduler recorded —
+        morsel span is annotated with the worker pid, queue wait and any
+        injected-fault events the scheduler recorded —
         which is how fault annotations survive the worker→coordinator
         round-trip.
         """
@@ -152,12 +151,9 @@ class ParallelBatchExecutor(BatchExecutor):
     ) -> None:
         from repro.obs.span import Span
 
-        pid, _elapsed, queue_wait, hits, misses, span_dict = telemetry
+        pid, _elapsed, queue_wait, span_dict = telemetry
         morsel_span.attrs["worker_pid"] = pid
         morsel_span.attrs["queue_wait"] = queue_wait
-        if hits or misses:
-            morsel_span.attrs["deref_hits"] = hits
-            morsel_span.attrs["deref_misses"] = misses
         faults = (last_run.get("faults") or {}).get(index)
         if faults:
             morsel_span.attrs["fault_events"] = list(faults)
@@ -322,18 +318,22 @@ class ParallelBatchExecutor(BatchExecutor):
     # parallel hash dedup
     # ------------------------------------------------------------------ #
 
-    def _dedup_rows(
-        self, descriptor: ResultDescriptor, rows: list, node: ProjectNode
+    def dedup_rows(
+        self,
+        descriptor: ResultDescriptor,
+        rows: list,
+        columns: Sequence[str],
+        method: str = "hash",
     ) -> list:
         if not (
-            node.dedup_method == "hash"
+            method == "hash"
             and len(rows) > self.morsel_size
             and describable(self.catalog, descriptor)
         ):
-            return super()._dedup_rows(descriptor, rows, node)
+            return super().dedup_rows(descriptor, rows, columns, method)
         token = self.scheduler.token
         spec = describe(descriptor)
-        columns = tuple(node.columns)
+        columns = tuple(columns)
         payloads = [
             (token, spec, columns, morsel)
             for morsel in self._dispatch_morsels(encode_rows(rows))

@@ -34,6 +34,7 @@ and CI.
 from __future__ import annotations
 
 import concurrent.futures
+import gc
 import itertools
 import multiprocessing
 import pickle
@@ -136,10 +137,10 @@ class MorselScheduler:
             "result_bytes": 0,
         }
         #: Per-worker telemetry accumulated from traced runs, keyed by
-        #: worker pid: morsels, busy/queue-wait seconds, deref-cache
-        #: hit/miss tallies and hit rate, retried/quarantined morsel
-        #: attribution.  Empty until observability is active (telemetry
-        #: only ships with a trace context — the zero-overhead contract).
+        #: worker pid: morsels, busy/queue-wait seconds, retried/
+        #: quarantined morsel attribution.  Empty until observability is
+        #: active (telemetry only ships with a trace context — the
+        #: zero-overhead contract).
         self.worker_stats: Dict[int, Dict[str, Any]] = {}
         #: Per-run fault/retry report for the most recent ``run`` call:
         #: ``{"kind", "faults": {morsel: [actions]}, "retries":
@@ -178,9 +179,12 @@ class MorselScheduler:
         try:
             from concurrent.futures import ProcessPoolExecutor
 
+            # A pool forked inside a SELECT would inherit the paused
+            # collector (repro.sql.interpreter); workers run with it on.
             pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context("fork"),
+                initializer=gc.enable,
             )
         except Exception as exc:  # pragma: no cover - sandbox-dependent
             self._note_fallback(
@@ -381,12 +385,7 @@ class MorselScheduler:
         has gathered.  Two sinks: ``worker_stats`` (the cumulative
         per-pid dict surfaced through ``db.scheduler_stats()``) and,
         when observability metrics are active, ``worker``-labelled
-        series in the registry.  The coordinator-level deref counters
-        are re-published here too: traced tasks flush their deref
-        tallies into the *worker-local* registry (which dies with the
-        worker, or is read back below), so without this the global
-        ``deref_cache_requests_total`` would go dark whenever telemetry
-        is on.
+        series in the registry.
         """
         obs = obs_runtime.active()
         metrics = obs.metrics if obs is not None else None
@@ -396,16 +395,13 @@ class MorselScheduler:
         for index, item in enumerate(results):
             if len(item) < 3:
                 continue
-            pid, elapsed, queue_wait, hits, misses, _span = item[2]
+            pid, elapsed, queue_wait, _span = item[2]
             stats = self.worker_stats.setdefault(
                 pid,
                 {
                     "morsels": 0,
                     "busy_seconds": 0.0,
                     "queue_wait_seconds": 0.0,
-                    "deref_hits": 0,
-                    "deref_misses": 0,
-                    "deref_hit_rate": None,
                     "retried_morsels": 0,
                     "quarantined_morsels": 0,
                 },
@@ -413,12 +409,6 @@ class MorselScheduler:
             stats["morsels"] += 1
             stats["busy_seconds"] += elapsed
             stats["queue_wait_seconds"] += queue_wait
-            stats["deref_hits"] += hits
-            stats["deref_misses"] += misses
-            requests = stats["deref_hits"] + stats["deref_misses"]
-            stats["deref_hit_rate"] = (
-                stats["deref_hits"] / requests if requests else None
-            )
             stats["retried_morsels"] += retries.get(index, 0)
             if index in quarantined:
                 stats["quarantined_morsels"] += 1
@@ -440,29 +430,6 @@ class MorselScheduler:
                     "Cumulative dispatch-to-start wait per worker",
                     worker=pid,
                 ).inc(queue_wait)
-                if hits:
-                    metrics.counter(
-                        "worker_deref_cache_requests_total",
-                        "Worker-side deref-cache lookups by outcome",
-                        worker=pid,
-                        outcome="hit",
-                    ).inc(hits)
-                    metrics.counter(
-                        "deref_saved_traversals_total", "",
-                    ).inc(hits)
-                    metrics.counter(
-                        "deref_cache_requests_total", "", outcome="hit"
-                    ).inc(hits)
-                if misses:
-                    metrics.counter(
-                        "worker_deref_cache_requests_total",
-                        "Worker-side deref-cache lookups by outcome",
-                        worker=pid,
-                        outcome="miss",
-                    ).inc(misses)
-                    metrics.counter(
-                        "deref_cache_requests_total", "", outcome="miss"
-                    ).inc(misses)
 
     # ------------------------------------------------------------------ #
     # pooled path

@@ -201,10 +201,8 @@ def _scan_filter(payload) -> tuple:
     token, relation_name, predicate, packed = payload
     relation = _CATALOGS[token].relation(relation_name)
     chunk = decode_refs(packed)
-    access = ScanFieldAccess(relation)
-    mask = compile_predicate(predicate, access)
+    mask = compile_predicate(predicate, ScanFieldAccess(relation))
     flags = mask(chunk)
-    access.flush()
     return encode_refs(list(compress(chunk, flags)))
 
 
@@ -216,7 +214,6 @@ def _filter_rows(payload) -> tuple:
     access = RowFieldAccess(descriptor, filter_column_resolver(descriptor))
     mask = compile_predicate(predicate, access)
     flags = mask(rows)
-    access.flush()
     return encode_rows(list(compress(rows, flags)))
 
 
@@ -310,9 +307,8 @@ def run_task(request: Tuple[str, tuple]) -> Tuple[Any, Tuple[int, ...]]:
     ``(kind, payload, trace_ctx)`` when the parent has observability
     active (see :func:`~repro.query.parallel.transport.trace_request`),
     returning ``(result, packed_counts, telemetry)`` where the telemetry
-    tuple carries pid, wall-clock, queue wait, the worker-local deref
-    hit/miss tallies, and (in span mode) the serialized worker span tree
-    for the coordinator to graft.  Either way the packed counts are
+    tuple carries pid, wall-clock, queue wait and (in span mode) the
+    serialized worker span tree for the coordinator to graft.  Either way the packed counts are
     bit-identical: the worker span's scope rolls up into the isolated
     scope, so tracing attributes the same counts, never new ones.
     """
@@ -336,10 +332,7 @@ def _run_traced(
     instance after — essential in inline mode, where "worker" and
     coordinator share a process and the coordinator's tracer must not
     see worker-internal spans directly (they arrive grafted instead,
-    identically to the process-pool path).  The deref-cache flush inside
-    the handler publishes into the worker-local registry, which is read
-    back into the telemetry tuple — this is how per-worker hit rates
-    escape forked processes whose registries die with them.
+    identically to the process-pool path).
     """
     from repro.obs import Observability, ObservabilityConfig
     from repro.obs import runtime as obs_runtime
@@ -374,27 +367,12 @@ def _run_traced(
         else:
             obs_runtime.activate(previous)
     elapsed = time.perf_counter() - started
-    hits, misses = _deref_tallies(local)
     span_dict: Optional[dict] = None
     if local.tracer is not None:
         root = local.tracer.last()
         if root is not None:
             root.attrs["queue_wait"] = queue_wait
-            root.attrs["deref_hits"] = hits
-            root.attrs["deref_misses"] = misses
             span_dict = root.to_dict()
-    telemetry = (os.getpid(), elapsed, queue_wait, hits, misses, span_dict)
+    telemetry = (os.getpid(), elapsed, queue_wait, span_dict)
     return result, pack_counts(scope), telemetry
 
-
-def _deref_tallies(local) -> Tuple[int, int]:
-    """(hits, misses) the task flushed into the worker-local registry."""
-    if local.metrics is None:
-        return 0, 0
-    hits = local.metrics.counter(
-        "deref_cache_requests_total", outcome="hit"
-    ).value
-    misses = local.metrics.counter(
-        "deref_cache_requests_total", outcome="miss"
-    ).value
-    return hits, misses

@@ -45,18 +45,15 @@ _PLAIN_VALUES = (int, float, str, bytes, bool, type(None))
 # --------------------------------------------------------------------- #
 
 #: Trace modes carried in a task request's optional third element.
-#: ``TRACE_TELEMETRY`` ships timing/deref telemetry only (observability
+#: ``TRACE_TELEMETRY`` ships timing telemetry only (observability
 #: metrics without tracing); ``TRACE_SPANS`` additionally ships the
 #: worker's serialized span tree for grafting.
 TRACE_TELEMETRY = 1
 TRACE_SPANS = 2
 
 #: Telemetry tuple layout shipped back by a traced task:
-#: ``(pid, elapsed_seconds, queue_wait_seconds, deref_hits,
-#:   deref_misses, span_dict_or_None)``.
-TELEMETRY_FIELDS = (
-    "pid", "elapsed", "queue_wait", "deref_hits", "deref_misses", "span"
-)
+#: ``(pid, elapsed_seconds, queue_wait_seconds, span_dict_or_None)``.
+TELEMETRY_FIELDS = ("pid", "elapsed", "queue_wait", "span")
 
 
 def trace_request(

@@ -3,10 +3,14 @@
 The tuple engine dispatches through the predicate AST once *per tuple*
 (``Predicate.matches`` -> enum checks -> reader closure -> extractor).
 Here the AST is walked once per operator and lowered into a chain of
-eval-free closures over :mod:`operator` functions; evaluating a batch
-is then one column read per comparison (a field the predicate reads
-once per item goes through ``Relation.reader``'s ``column`` form), one
-list comprehension over the values, and bulk counter updates.
+eval-free closures over item *positions*: evaluating a batch reads each
+field the predicate names through its ``column`` form (one
+``Relation.reader`` pass), runs one list comprehension per comparison
+and updates the counters in bulk.
+
+A field is read at most once per item per batch: a field that more than
+one comparison names keeps its values in a per-batch column indexed by
+position, filled only at the positions some comparison evaluates.
 
 Counting is tuple-engine-equivalent by construction:
 
@@ -15,9 +19,10 @@ Counting is tuple-engine-equivalent by construction:
   context — one traversal per evaluated item, exactly what
   ``Comparison.matches`` over counted extractors charges;
 * :class:`Conjunction` / :class:`Disjunction` compile to short-circuit
-  cascades: each later part is evaluated only over the items still
+  cascades: each later part is evaluated only at the positions still
   live (AND) or still dead (OR), matching ``all()`` / ``any()``
-  short-circuiting item by item;
+  short-circuiting item by item — so no field is read, and no storage
+  error raised, for an item the per-item path would not read either;
 * any other :class:`Predicate` subclass (e.g. the engine's rewritten
   foreign-key comparisons) falls back to row-wise ``matches`` against a
   reader with tuple-engine counting, so nothing is miscounted even for
@@ -26,8 +31,7 @@ Counting is tuple-engine-equivalent by construction:
 
 from __future__ import annotations
 
-import operator
-from typing import Any, Callable, List, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.instrument import count_compare, count_traverse
 from repro.query.predicates import (
@@ -41,174 +45,163 @@ from repro.query.predicates import (
 #: ``items -> [bool per item]``
 MaskFn = Callable[[Sequence[Any]], List[bool]]
 
-_OP_FUNCS = {
-    Op.EQ: operator.eq,
-    Op.NE: operator.ne,
-    Op.LT: operator.lt,
-    Op.LE: operator.le,
-    Op.GT: operator.gt,
-    Op.GE: operator.ge,
+#: ``(items, positions or None for all, per-batch columns) -> the
+#: positions that pass, ascending``
+SelectFn = Callable[
+    [Sequence[Any], Optional[Sequence[int]], Dict[str, list]], List[int]
+]
+
+#: ``(positions, values, constant, upper bound) -> passing positions``:
+#: one comprehension per operator, so no call per value.
+_KEEP = {
+    Op.EQ: lambda ps, vs, c, _: [p for p, v in zip(ps, vs) if v == c],
+    Op.NE: lambda ps, vs, c, _: [p for p, v in zip(ps, vs) if v != c],
+    Op.LT: lambda ps, vs, c, _: [p for p, v in zip(ps, vs) if v < c],
+    Op.LE: lambda ps, vs, c, _: [p for p, v in zip(ps, vs) if v <= c],
+    Op.GT: lambda ps, vs, c, _: [p for p, v in zip(ps, vs) if v > c],
+    Op.GE: lambda ps, vs, c, _: [p for p, v in zip(ps, vs) if v >= c],
+    Op.BETWEEN: lambda ps, vs, lo, hi: [
+        p for p, v in zip(ps, vs) if lo <= v <= hi
+    ],
 }
+
+_UNREAD = object()
 
 
 def compile_predicate(predicate: Predicate, access) -> MaskFn:
     """Lower ``predicate`` to a batch-mask closure.
 
-    ``access`` supplies field extractors and per-item readers (a
+    ``access`` supplies uncounted field readers carrying ``column`` and
+    per-item readers (a
     :class:`~repro.query.vectorized.deref.ScanFieldAccess` or
     :class:`~repro.query.vectorized.deref.RowFieldAccess`); its
     ``counts_traversals`` flag says whether each evaluated comparison
     charges a pointer traversal (filter context) or not (scan context,
     where the tuple engine reads through ``Relation.read_field``).
-
-    The returned mask publishes the access's accumulated dereference
-    savings (``access.flush()``) once per batch, so the hot per-hit
-    path inside the extractors stays a bare counter increment.
     """
-    multi = _multi_use_fields(predicate)
-    inner = _compile(predicate, access, multi)
-    flush = access.flush
+    uses: Dict[str, int] = {}
+    select = _compile(predicate, access, uses)
 
     def mask(items: Sequence[Any]) -> List[bool]:
-        out = inner(items)
-        flush()
+        out = [False] * len(items)
+        for position in select(items, None, {}):
+            out[position] = True
         return out
 
     return mask
 
 
-def _multi_use_fields(predicate: Predicate):
-    """Fields the predicate may read more than once per item, or
-    ``None`` when that cannot be determined (unknown subclass present).
-
-    Single-use fields get raw (unmemoized) extractors: their memo could
-    never hit, so the dict and pointer-hash overhead is pure loss.
-    ``None`` memoizes everything, the conservative choice.
-    """
-    counts: dict = {}
-    stack = [predicate]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Comparison):
-            counts[node.field] = counts.get(node.field, 0) + 1
-        elif isinstance(node, (Conjunction, Disjunction)):
-            stack.extend(node.parts)
-        else:
-            return None
-    return {field for field, n in counts.items() if n > 1}
-
-
-def _compile(predicate: Predicate, access, multi) -> MaskFn:
+def _compile(predicate: Predicate, access, uses: Dict[str, int]) -> SelectFn:
     if isinstance(predicate, Comparison):
-        return _compile_comparison(predicate, access, multi)
-    if isinstance(predicate, Conjunction):
+        return _compile_comparison(predicate, access, uses)
+    if isinstance(predicate, (Conjunction, Disjunction)):
         return _compile_cascade(
-            predicate.parts, access, multi, conjunctive=True
-        )
-    if isinstance(predicate, Disjunction):
-        return _compile_cascade(
-            predicate.parts, access, multi, conjunctive=False
+            predicate.parts,
+            access,
+            uses,
+            conjunctive=isinstance(predicate, Conjunction),
         )
     return _compile_fallback(predicate, access)
 
 
-def _compile_comparison(cmp: Comparison, access, multi) -> MaskFn:
-    memoize = multi is None or cmp.field in multi
-    extract = access.extractor(cmp.field, memoize=memoize)
+def _compile_comparison(
+    cmp: Comparison, access, uses: Dict[str, int]
+) -> SelectFn:
+    field = cmp.field
+    uses[field] = uses.get(field, 0) + 1
+    read_column = access.extractor(field).column
+    keep, low, high = _KEEP[cmp.op], cmp.value, cmp.high
+    per_item = 2 if cmp.op is Op.BETWEEN else 1
     counts_traversals = access.counts_traversals
-    if memoize:
 
-        def values(items: Sequence[Any]) -> List[Any]:
-            return [extract(item) for item in items]
-
-    else:
-        # A single-use field: one column read over the whole batch.
-        values = extract.column
-
-    if cmp.op is Op.BETWEEN:
-        low, high = cmp.value, cmp.high
-
-        def mask(items: Sequence[Any]) -> List[bool]:
-            out = [low <= v <= high for v in values(items)]
-            count_compare(2 * len(items))
-            if counts_traversals:
-                count_traverse(len(items))
-            return out
-
-        return mask
-
-    op_fn = _OP_FUNCS[cmp.op]
-    value = cmp.value
-
-    def mask(items: Sequence[Any]) -> List[bool]:
-        out = [op_fn(v, value) for v in values(items)]
-        count_compare(len(items))
+    def select(items, positions, cols):
+        if positions is None:
+            # The first comparison evaluated: the whole batch, nothing
+            # read yet.
+            positions = range(len(items))
+            values = cols[field] = read_column(items)
+        else:
+            values = cols.get(field)
+            if values is None:
+                values = read_column([items[p] for p in positions])
+                if uses[field] > 1:
+                    cols[field] = column = [_UNREAD] * len(items)
+                    for p, value in zip(positions, values):
+                        column[p] = value
+            else:
+                missing = [p for p in positions if values[p] is _UNREAD]
+                if missing:
+                    fetched = read_column([items[p] for p in missing])
+                    for p, value in zip(missing, fetched):
+                        values[p] = value
+                values = [values[p] for p in positions]
+        count_compare(per_item * len(positions))
         if counts_traversals:
-            count_traverse(len(items))
-        return out
+            count_traverse(len(positions))
+        return keep(positions, values, low, high)
 
-    return mask
+    return select
 
 
 def _compile_cascade(
-    parts: Sequence[Predicate], access, multi, conjunctive: bool
-) -> MaskFn:
-    """AND/OR as a cascade over the still-undecided subset.
+    parts: Sequence[Predicate], access, uses: Dict[str, int], conjunctive: bool
+) -> SelectFn:
+    """AND/OR as a cascade over the still-undecided positions.
 
-    AND: later parts see only items every earlier part accepted.
-    OR: later parts see only items no earlier part accepted.  This is
-    exactly the per-item short-circuit of ``all()`` / ``any()``, so op
-    totals match the tuple engine's.
+    AND: later parts see only positions every earlier part accepted.
+    OR: later parts see only positions no earlier part accepted.  This
+    is exactly the per-item short-circuit of ``all()`` / ``any()``, so
+    op totals match the tuple engine's.
     """
     if not parts:
-        fixed = conjunctive  # all(()) is True, any(()) is False
-
-        def trivial(items: Sequence[Any]) -> List[bool]:
-            return [fixed] * len(items)
+        # all(()) is True, any(()) is False
+        def trivial(items, positions, cols):
+            if not conjunctive:
+                return []
+            return list(range(len(items)) if positions is None else positions)
 
         return trivial
 
-    compiled = [_compile(part, access, multi) for part in parts]
+    compiled = [_compile(part, access, uses) for part in parts]
     first = compiled[0]
     rest = compiled[1:]
 
     if conjunctive:
 
-        def mask(items: Sequence[Any]) -> List[bool]:
-            out = first(items)
+        def select(items, positions, cols):
+            kept = first(items, positions, cols)
             for part in rest:
-                live = [i for i, keep in enumerate(out) if keep]
-                if not live:
+                if not kept:
                     break
-                flags = part([items[i] for i in live])
-                for i, keep in zip(live, flags):
-                    if not keep:
-                        out[i] = False
-            return out
+                kept = part(items, kept, cols)
+            return kept
 
     else:
 
-        def mask(items: Sequence[Any]) -> List[bool]:
-            out = first(items)
+        def select(items, positions, cols):
+            newly = kept = first(items, positions, cols)
+            dead = range(len(items)) if positions is None else positions
             for part in rest:
-                dead = [i for i, keep in enumerate(out) if not keep]
+                taken = set(newly)
+                dead = [p for p in dead if p not in taken]
                 if not dead:
                     break
-                flags = part([items[i] for i in dead])
-                for i, keep in zip(dead, flags):
-                    if keep:
-                        out[i] = True
-            return out
+                newly = part(items, dead, cols)
+                kept = kept + newly
+            # Ascending runs, one per part: a linear merge.
+            return sorted(kept) if kept is not newly else kept
 
-    return mask
+    return select
 
 
-def _compile_fallback(predicate: Predicate, access) -> MaskFn:
+def _compile_fallback(predicate: Predicate, access) -> SelectFn:
     """Row-wise evaluation for predicate types with no batch lowering."""
     matches = predicate.matches
     reader = access.reader
 
-    def mask(items: Sequence[Any]) -> List[bool]:
-        return [matches(reader(item)) for item in items]
+    def select(items, positions, cols):
+        if positions is None:
+            positions = range(len(items))
+        return [p for p in positions if matches(reader(items[p]))]
 
-    return mask
+    return select

@@ -41,8 +41,8 @@ class ExecutionConfig:
     """Which executor evaluates plan trees, and how.
 
     ``engine`` — ``"tuple"`` (the reference tuple-at-a-time path) or
-    ``"batch"`` (the vectorized path: compiled predicates, cached
-    dereferences, hash kernels over each node's whole row list).
+    ``"batch"`` (the vectorized path: compiled predicates, column
+    reads, hash kernels over each node's whole row list).
     ``workers`` > 1 adds morsel-driven parallelism on top of the batch
     engine; ``workers=1`` (the default) is exactly the scalar batch
     engine — no pool is ever created.

@@ -1,28 +1,31 @@
-"""Per-operator dereference caching over the one physical dereference.
+"""Field readers for the batch operators, and the per-operator memo.
 
 The paper's cost model charges one pointer traversal per (tuple, field)
 extraction.  Physically, every extraction here is
 :meth:`Relation.reader <repro.storage.relation.Relation.reader>`: one
 fused slot read out of the partition, with the checked walk through
-``_locate`` only for forwarded, deleted or missing tuples.  Operators
-that touch the same field of the same tuple repeatedly (quicksort keys,
-hash-chain re-extractions, duplicate elimination) would pay that read
-again each time.  The memoizing extractors here keep the extracted
-value per tuple pointer, so a memo hit saves one fused read, while the
-*logical* traversal is still counted exactly as the tuple engine counts
-it — the paper's graphs stay reproducible — and every avoided physical
-dereference is tallied separately under
-``OpCounters.extra["deref_saved_traversals"]``.
+``_locate`` only for forwarded, deleted or missing tuples.  That read
+is cheap enough not to cache, so predicates and the hash kernels use
+the raw (unmemoized) readers, which carry ``column(items)``: the same
+read a batch at a time.  A compiled predicate reads each field once
+per item per batch (:mod:`~repro.query.vectorized.compile`).
 
-The raw (unmemoized) readers are for fields an operator reads once per
-item; they carry ``column(items)``, the same read a batch at a time.
+:func:`row_extractor` is the memo that is left: the quicksort keys of
+``ORDER BY`` and sort-scan duplicate elimination, and the keys of the
+non-hash join algorithms, which re-extract the same (tuple, field)
+many times.  It keeps the extracted value per tuple pointer, so a memo
+hit saves one fused read, while the *logical* traversal is still
+counted exactly as the tuple engine counts it — the paper's graphs
+stay reproducible — and every avoided physical dereference is tallied
+separately under ``OpCounters.extra["deref_saved_traversals"]``.
 
 Caveat: forwarding-chain hops (left behind by heap-overflow
-relocations, footnote 1) are only re-counted on a physical miss; a
-memo hit charges the single logical traversal but not the chain walk.
-Relations that have experienced relocations are therefore outside the
-strict counter-equivalence contract (and outside the paper's steady-
-state measurements, which never relocate).
+relocations, footnote 1) are counted once per physical read: a memo
+hit, or a predicate's second comparison on a field, charges the single
+logical traversal but not the chain walk.  Relations that have
+experienced relocations are therefore outside the strict
+counter-equivalence contract (and outside the paper's steady-state
+measurements, which never relocate).
 """
 
 from __future__ import annotations
@@ -82,62 +85,16 @@ def _attach_flush(extract: Callable, pending: list) -> Callable:
     return extract
 
 
-def ref_extractor(
-    relation: Relation, field_name: str, counted: bool = False
-) -> Callable[[TupleRef], Any]:
-    """A memoizing ``ref -> field value`` extractor over one relation.
-
-    With ``counted=False`` no traversal is charged per call — the shape
-    scan predicates need (``Relation.read_field`` charges none either);
-    callers that batch-count traversals use this variant.  With
-    ``counted=True`` every call charges one traversal, mirroring
-    ``Relation.key_extractor``.  Either way a memo hit skips the
-    physical read; hits accumulate locally and land under
-    :data:`DEREF_SAVED_COUNTER` when the caller invokes the
-    extractor's ``flush()``.
-    """
-    read = relation.reader(field_name)
-    memo: dict = {}
-    miss = _MISS
-    pending = [0, 0]
-
-    if counted:
-
-        def extract(ref: TupleRef) -> Any:
-            count_traverse()
-            value = memo.get(ref, miss)
-            if value is miss:
-                value = memo[ref] = read(ref)
-                pending[1] += 1
-            else:
-                pending[0] += 1
-            return value
-
-    else:
-
-        def extract(ref: TupleRef) -> Any:
-            value = memo.get(ref, miss)
-            if value is miss:
-                value = memo[ref] = read(ref)
-                pending[1] += 1
-            else:
-                pending[0] += 1
-            return value
-
-    return _attach_flush(extract, pending)
-
-
 def row_extractor(
-    descriptor: ResultDescriptor, column_name: str, counted: bool = False
+    descriptor: ResultDescriptor, column_name: str
 ) -> Callable[[Tuple[TupleRef, ...]], Any]:
     """A memoizing ``pointer row -> column value`` extractor.
 
-    The drop-in counterpart of ``TemporaryList.value_extractor``: with
-    ``counted=True`` it charges the same one-traversal-per-call, but a
-    memo hit (keyed by the row's source pointer, so rows sharing a base
-    tuple share the memo) skips the physical work.  ``counted=False``
-    is for compiled batch passes that charge traversals in bulk.  Hits
-    accumulate locally; callers publish them via ``extract.flush()``.
+    The drop-in counterpart of ``TemporaryList.value_extractor``: it
+    charges the same one traversal per call, but a memo hit (keyed by
+    the row's source pointer, so rows sharing a base tuple share the
+    memo) skips the physical read.  Hits accumulate locally; callers
+    publish them via ``extract.flush()``.
     """
     col = descriptor.column(column_name)
     read = descriptor.sources[col.source].reader(col.field)
@@ -146,30 +103,16 @@ def row_extractor(
     miss = _MISS
     pending = [0, 0]
 
-    if counted:
-
-        def extract(row: Tuple[TupleRef, ...]) -> Any:
-            count_traverse()
-            ref = row[source]
-            value = memo.get(ref, miss)
-            if value is miss:
-                value = memo[ref] = read(ref)
-                pending[1] += 1
-            else:
-                pending[0] += 1
-            return value
-
-    else:
-
-        def extract(row: Tuple[TupleRef, ...]) -> Any:
-            ref = row[source]
-            value = memo.get(ref, miss)
-            if value is miss:
-                value = memo[ref] = read(ref)
-                pending[1] += 1
-            else:
-                pending[0] += 1
-            return value
+    def extract(row: Tuple[TupleRef, ...]) -> Any:
+        count_traverse()
+        ref = row[source]
+        value = memo.get(ref, miss)
+        if value is miss:
+            value = memo[ref] = read(ref)
+            pending[1] += 1
+        else:
+            pending[0] += 1
+        return value
 
     return _attach_flush(extract, pending)
 
@@ -231,46 +174,20 @@ class ScanFieldAccess:
 
     def __init__(self, relation: Relation) -> None:
         self.relation = relation
-        self._extractors: dict = {}
 
-    def extractor(
-        self, field_name: str, memoize: bool = True
-    ) -> Callable[[TupleRef], Any]:
-        """Field extractor; ``memoize=False`` returns the relation's own
-        unmemoized :meth:`~repro.storage.relation.Relation.reader`.
-
-        The compiler passes ``memoize=False`` for fields its predicate
-        reads at most once per item — there a memo can never hit, so
-        skipping it removes the dict/hash overhead without losing any
-        reportable savings.
-        """
-        key = (field_name, memoize)
-        ext = self._extractors.get(key)
-        if ext is None:
-            if memoize:
-                ext = ref_extractor(
-                    self.relation, field_name, counted=False
-                )
-            else:
-                ext = self.relation.reader(field_name)
-            self._extractors[key] = ext
-        return ext
+    def extractor(self, field_name: str) -> Callable[[TupleRef], Any]:
+        """The relation's own uncounted
+        :meth:`~repro.storage.relation.Relation.reader`."""
+        return self.relation.reader(field_name)
 
     def reader(self, ref: TupleRef) -> Callable[[str], Any]:
         """A per-item field reader for uncompilable predicate leaves."""
-        extractor = self.extractor
+        relation = self.relation
 
         def read(field_name: str) -> Any:
-            return extractor(field_name)(ref)
+            return relation.reader(field_name)(ref)
 
         return read
-
-    def flush(self) -> None:
-        """Publish every extractor's accumulated dereference savings."""
-        for ext in self._extractors.values():
-            flush = getattr(ext, "flush", None)
-            if flush is not None:
-                flush()
 
 
 class RowFieldAccess:
@@ -291,21 +208,15 @@ class RowFieldAccess:
         self._extractors: dict = {}
 
     def extractor(
-        self, field_name: str, memoize: bool = True
+        self, field_name: str
     ) -> Callable[[Tuple[TupleRef, ...]], Any]:
-        """Column extractor; ``memoize=False`` returns a raw reader
-        (see :meth:`ScanFieldAccess.extractor`)."""
-        column_name = self._resolve_name(field_name)
-        key = (column_name, memoize)
-        ext = self._extractors.get(key)
+        """An uncounted :func:`raw_row_extractor` for the column the
+        filter semantics bind ``field_name`` to."""
+        ext = self._extractors.get(field_name)
         if ext is None:
-            if memoize:
-                ext = row_extractor(
-                    self.descriptor, column_name, counted=False
-                )
-            else:
-                ext = raw_row_extractor(self.descriptor, column_name)
-            self._extractors[key] = ext
+            ext = self._extractors[field_name] = raw_row_extractor(
+                self.descriptor, self._resolve_name(field_name)
+            )
         return ext
 
     def reader(self, row: Tuple[TupleRef, ...]) -> Callable[[str], Any]:
@@ -317,10 +228,3 @@ class RowFieldAccess:
             return extractor(field_name)(row)
 
         return read
-
-    def flush(self) -> None:
-        """Publish every extractor's accumulated dereference savings."""
-        for ext in self._extractors.values():
-            flush = getattr(ext, "flush", None)
-            if flush is not None:
-                flush()

@@ -5,29 +5,29 @@ engine, one node at a time: every node materialises its output as a
 ``TemporaryList`` of pointer rows (the paper's temporary list, §2.3)
 and the operator runs over its child's whole row list as one batch.
 Each operator compiles its predicate once
-(:mod:`~repro.query.vectorized.compile`), extracts fields through
-per-operator dereference caches (:mod:`~repro.query.vectorized.deref`),
-and the two hash-based operators — hash equi-joins and hash duplicate
-elimination — run the batch kernels
+(:mod:`~repro.query.vectorized.compile`), which reads each field it
+names once per batch, and the two hash-based operators — hash
+equi-joins and hash duplicate elimination, SQL ``DISTINCT`` included —
+run the batch kernels
 (:mod:`~repro.query.vectorized.kernels`), whose counts are elementwise
 *bounded above* by the tuple engine's rather than equal.
 
 Everything else — index leaves, the non-hash join algorithms, sorting,
 sort-based duplicate elimination — deliberately *reuses* the
-instrumented reference algorithms, only swapping in cached key
-extractors: op totals stay identical to the tuple engine (the
-counter-equivalence contract) while the physical dereferences behind
-them collapse.
+instrumented reference algorithms, only swapping in key extractors
+memoized per operator (:mod:`~repro.query.vectorized.deref`): op
+totals stay identical to the tuple engine (the counter-equivalence
+contract) while the physical dereferences behind them collapse.
 
 The four row kernels — :meth:`BatchExecutor._scan_refs`,
 :meth:`~BatchExecutor._filter_rows`, :meth:`~BatchExecutor._hash_join_rows`
-and :meth:`~BatchExecutor._dedup_rows` — are list in, list out; they
+and :meth:`~BatchExecutor.dedup_rows` — are list in, list out; they
 are the only methods the morsel-parallel engine overrides.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.errors import PlanError
 from repro.instrument import count_traverse
@@ -37,7 +37,6 @@ from repro.query.plan import (
     REF_COLUMN,
     FilterNode,
     JoinNode,
-    ProjectNode,
     ScanNode,
 )
 from repro.query.project import project_sort_scan
@@ -112,16 +111,6 @@ class BatchExecutor(Executor):
         kept = self._filter_rows(node, child.descriptor, child.rows())
         return TemporaryList(child.descriptor, kept)
 
-    def _execute_project(self, node: ProjectNode) -> TemporaryList:
-        child = self.execute(node.child)
-        projected = child.project(list(node.columns))
-        if not node.deduplicate:
-            return projected
-        unique = self._dedup_rows(
-            projected.descriptor, projected.rows(), node
-        )
-        return TemporaryList(projected.descriptor, unique)
-
     def _execute_join(self, node: JoinNode) -> TemporaryList:
         if node.op == "=" and node.method == "hash":
             left = self.execute(node.left)
@@ -189,8 +178,12 @@ class BatchExecutor(Executor):
             count_traverse(len(outer) * cost)
         return rows
 
-    def _dedup_rows(
-        self, descriptor: ResultDescriptor, rows: List[Row], node: ProjectNode
+    def dedup_rows(
+        self,
+        descriptor: ResultDescriptor,
+        rows: List[Row],
+        columns: Sequence[str],
+        method: str = "hash",
     ) -> List[Row]:
         """Duplicate elimination.
 
@@ -201,13 +194,10 @@ class BatchExecutor(Executor):
         algorithm unchanged with dereference-cached keys, so its op
         totals match the tuple engine exactly.
         """
-        if node.dedup_method == "hash":
-            keys = dedup_keys(descriptor, node.columns, rows)
-            return dedup_hash_rows(rows, keys, keys_per_row=len(node.columns))
-        extractors = [
-            row_extractor(descriptor, name, counted=True)
-            for name in node.columns
-        ]
+        if method == "hash":
+            keys = dedup_keys(descriptor, columns, rows)
+            return dedup_hash_rows(rows, keys, keys_per_row=len(columns))
+        extractors = [row_extractor(descriptor, name) for name in columns]
 
         def row_key(row: Row) -> Tuple[Any, ...]:
             return tuple(extract(row) for extract in extractors)
@@ -252,14 +242,14 @@ class BatchExecutor(Executor):
     ) -> Callable[[Row], Any]:
         if column == REF_COLUMN:
             return super()._key_extractor(rows_list, column)
-        extractor = row_extractor(rows_list.descriptor, column, counted=True)
+        extractor = row_extractor(rows_list.descriptor, column)
         self._live_keys.append(extractor)
         return extractor
 
     def sort_rows(
         self, result: TemporaryList, column: str
     ) -> List[Row]:
-        extractor = row_extractor(result.descriptor, column, counted=True)
+        extractor = row_extractor(result.descriptor, column)
         rows = sort_rows_cached(list(result.rows()), extractor)
         _flush_saved(extractor)
         return rows

@@ -3,12 +3,22 @@
 The interpreter is a thin layer: WHERE clauses become the predicate
 algebra (and hence the Section 4 access-path rules), joins go through the
 optimizer's method preference (or a ``USING`` override), DISTINCT is
-hash-based duplicate elimination, and ORDER BY uses the paper's
-instrumented quicksort on the pointer rows.
+the active engine's hash-based duplicate elimination, and ORDER BY uses
+the paper's instrumented quicksort on the pointer rows.
+
+An uncached SELECT runs with the cyclic garbage collector paused.  Every
+tuple pointer is a ``TupleRef`` object the collector tracks, and every
+result row holds pointers, so a large result triggers passes over
+everything tracked; none of them finds garbage, since a SELECT builds
+no reference cycles.  The pause nests across threads through one depth
+counter: the collector resumes when the last overlapping SELECT ends,
+and only if it was enabled when the first began.
 """
 
 from __future__ import annotations
 
+import gc
+import threading
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import QueryError, SchemaError
@@ -25,6 +35,30 @@ from repro.sql.prepared import PreparedStatement, bind_statement
 from repro.sql.template import lift, parse_template
 from repro.storage.schema import Field, FieldType, ForeignKey
 from repro.storage.temporary import TemporaryList
+
+_collector_lock = threading.Lock()
+#: SELECTs now running with the collector paused, and whether it was
+#: enabled when the first of them paused it.
+_collector_depth = 0
+_collector_was_enabled = False
+
+
+def _pause_collector() -> None:
+    global _collector_depth, _collector_was_enabled
+    with _collector_lock:
+        if _collector_depth == 0:
+            _collector_was_enabled = gc.isenabled()
+            gc.disable()
+        _collector_depth += 1
+
+
+def _resume_collector() -> None:
+    global _collector_depth
+    with _collector_lock:
+        _collector_depth -= 1
+        if _collector_depth == 0 and _collector_was_enabled:
+            gc.enable()
+
 
 _FIELD_TYPES = {
     "int": FieldType.INT,
@@ -352,27 +386,34 @@ class SQLInterpreter:
             cached = result_cache.lookup_statement(plan_key)
             if cached is not None:
                 return cached
-        result = self._core_result(stmt, plan_key)
-        if stmt.aggregates or stmt.group_by:
-            result = self._aggregate(stmt, result)
-        else:
-            if stmt.columns:
-                result = self.db.project(
-                    result, list(stmt.columns), deduplicate=stmt.distinct
-                )
-            elif stmt.distinct:
-                result = self.db.project(
-                    result, result.descriptor.column_names, deduplicate=True
-                )
-            if stmt.order_by is not None:
-                result = self._order_by(result, stmt.order_by, stmt.order_desc)
-            if stmt.limit is not None:
-                result = TemporaryList(
-                    result.descriptor, result.rows()[: stmt.limit]
-                )
+        _pause_collector()
+        try:
+            result = self._select_result(stmt, plan_key)
+        finally:
+            _resume_collector()
         if result_cache is not None and plan_key is not None:
             tables = [stmt.table] + [clause.table for clause in stmt.joins]
             result_cache.store_statement(plan_key, result, tables)
+        return result
+
+    def _select_result(self, stmt: ast.Select, plan_key):
+        result = self._core_result(stmt, plan_key)
+        if stmt.aggregates or stmt.group_by:
+            return self._aggregate(stmt, result)
+        if stmt.columns:
+            result = self.db.project(
+                result, list(stmt.columns), deduplicate=stmt.distinct
+            )
+        elif stmt.distinct:
+            result = self.db.project(
+                result, result.descriptor.column_names, deduplicate=True
+            )
+        if stmt.order_by is not None:
+            result = self._order_by(result, stmt.order_by, stmt.order_desc)
+        if stmt.limit is not None:
+            result = TemporaryList(
+                result.descriptor, result.rows()[: stmt.limit]
+            )
         return result
 
     def _aggregate(self, stmt: ast.Select, result: TemporaryList):

@@ -113,13 +113,16 @@ class Partition:
         """Bytes remaining in the heap."""
         return self.config.heap_capacity - self._heap_used
 
-    def has_room(self, heap_bytes_needed: int = 0) -> bool:
-        """Whether a new tuple with ``heap_bytes_needed`` heap bytes fits."""
-        slot_free = (
+    def has_free_slot(self) -> bool:
+        """Whether a slot is free for a new tuple."""
+        return (
             bool(self._free_slots)
             or len(self._slots) < self.config.slot_capacity
         )
-        return slot_free and heap_bytes_needed <= self.heap_free
+
+    def has_room(self, heap_bytes_needed: int = 0) -> bool:
+        """Whether a new tuple with ``heap_bytes_needed`` heap bytes fits."""
+        return self.has_free_slot() and heap_bytes_needed <= self.heap_free
 
     def _touch(self) -> None:
         self.version += 1

@@ -17,6 +17,7 @@ Section 2.1 rules implemented here:
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import (
@@ -80,6 +81,10 @@ class Relation:
             partition_config if partition_config is not None else PartitionConfig()
         )
         self._partitions: Dict[int, Partition] = {}
+        #: partition id -> its place in ``_partitions``' (creation) order.
+        self._positions: Dict[int, int] = {}
+        #: First-fit cursor: no partition placed before it has a free slot.
+        self._room_cursor = 0
         self._next_partition_id = 0
         self._indexes: Dict[str, Index] = {}
         self._count = 0
@@ -393,14 +398,34 @@ class Relation:
     # tuple operations
     # ------------------------------------------------------------------ #
 
-    def _partition_with_room(self, heap_bytes: int) -> Partition:
-        for part in self._partitions.values():
-            if part.has_room(heap_bytes):
+    def _partition_with_room(
+        self, heap_bytes: int, exclude: Optional[Partition] = None
+    ) -> Partition:
+        """First fit: the first partition, in creation order, other than
+        ``exclude`` with a free slot and ``heap_bytes`` of heap room; a
+        new partition when none has.
+
+        The search starts at ``_room_cursor``, past the leading
+        partitions that have no free slot; heap room is still tested per
+        row.  Only a delete frees a slot, and it lowers the cursor.
+        """
+        start = self._room_cursor
+        for position, part in enumerate(
+            islice(self._partitions.values(), start, None), start
+        ):
+            if part is not exclude and part.has_room(heap_bytes):
                 return part
+            if position == self._room_cursor and not part.has_free_slot():
+                self._room_cursor = position + 1
         part = Partition(self._next_partition_id, self.partition_config)
-        self._partitions[part.id] = part
+        self._add_partition(part)
         self._next_partition_id += 1
         return part
+
+    def _add_partition(self, part: Partition) -> None:
+        if part.id not in self._partitions:
+            self._positions[part.id] = len(self._partitions)
+        self._partitions[part.id] = part
 
     def insert(self, values: Sequence[object]) -> TupleRef:
         """Insert a physical row; returns its (stable) tuple pointer.
@@ -542,16 +567,8 @@ class Relation:
         row = part.read(slot)
         row[position] = value
         heap_bytes = Partition.heap_bytes_for(row)
-        # Find a different partition with room (never the full one).
-        target: Optional[Partition] = None
-        for candidate in self._partitions.values():
-            if candidate is not part and candidate.has_room(heap_bytes):
-                target = candidate
-                break
-        if target is None:
-            target = Partition(self._next_partition_id, self.partition_config)
-            self._partitions[target.id] = target
-            self._next_partition_id += 1
+        # A different partition with room (never the full one).
+        target = self._partition_with_room(heap_bytes, exclude=part)
         new_slot = target.insert(row)
         part.set_forwarding(slot, TupleRef(target.id, new_slot))
         self._emit(
@@ -581,6 +598,7 @@ class Relation:
             index.delete(canonical)
         part, slot = self._locate(canonical)
         part.delete(slot)
+        self._room_cursor = min(self._room_cursor, self._positions[part.id])
         self._count -= 1
         self._emit(
             {
@@ -608,7 +626,8 @@ class Relation:
     def adopt_partition(self, partition: Partition) -> None:
         """Install a partition object (used by recovery when reloading)."""
         self.bump_version()
-        self._partitions[partition.id] = partition
+        self._add_partition(partition)
+        self._room_cursor = 0
         self._next_partition_id = max(self._next_partition_id, partition.id + 1)
         # A good image arriving is exactly what heals a quarantine.
         self._quarantined.pop(partition.id, None)

@@ -1,6 +1,7 @@
 """Dereference-cache statistics in the metrics registry.
 
-The batch engine's memoizing extractors tally cache hits (saved
+The batch engine's memoizing key extractors (the sort keys of the
+reference join algorithms and ORDER BY) tally cache hits (saved
 physical dereferences) and misses; with observability metrics active,
 ``flush()`` publishes them as ``deref_saved_traversals_total`` and the
 per-outcome ``deref_cache_requests_total`` family, visible through the
@@ -12,7 +13,7 @@ import pytest
 from repro import Field, FieldType, MainMemoryDatabase
 from repro.obs import ObservabilityConfig
 from repro.obs import runtime as obs_runtime
-from repro.query.plan import ScanNode
+from repro.query.plan import JoinNode, ScanNode
 from repro.query.predicates import gt, lt
 from repro.query.vectorized import BatchExecutor
 
@@ -30,6 +31,10 @@ def db():
     return database
 
 
+#: A self-join by sort-merge: both inputs are quicksorted on ``A``.
+_SORT_MERGE = JoinNode(ScanNode("R"), ScanNode("R"), "A", "A", "sort_merge")
+
+
 def _counter_value(metrics, name, **labels):
     return metrics.counter(name, **labels).value
 
@@ -37,9 +42,8 @@ def _counter_value(metrics, name, **labels):
 def test_deref_hits_and_misses_exported(db):
     db.configure_observability(ObservabilityConfig())
     act = obs_runtime.active()
-    # A conjunction re-reading the same field makes the memo hit.
-    plan = ScanNode("R", gt("A", 2) & lt("A", 15))
-    BatchExecutor(db.catalog).execute(plan)
+    # The quicksort re-extracting the same keys makes the memo hit.
+    BatchExecutor(db.catalog).execute(_SORT_MERGE)
     hits = _counter_value(
         act.metrics, "deref_cache_requests_total", outcome="hit"
     )
@@ -54,8 +58,7 @@ def test_deref_hits_and_misses_exported(db):
 
 def test_deref_metrics_in_prometheus_export(db):
     db.configure_observability(ObservabilityConfig())
-    plan = ScanNode("R", gt("A", 2) & lt("A", 15))
-    BatchExecutor(db.catalog).execute(plan)
+    BatchExecutor(db.catalog).execute(_SORT_MERGE)
     text = obs_runtime.active().export_prometheus()
     assert "deref_saved_traversals_total" in text
     assert 'deref_cache_requests_total{outcome="hit"}' in text

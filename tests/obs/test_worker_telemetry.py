@@ -70,21 +70,6 @@ class TestWorkerStats:
             assert per["retried_morsels"] == 0
             assert per["quarantined_morsels"] == 0
 
-    def test_per_worker_deref_hit_rate(self, db):
-        db.configure_observability(ObservabilityConfig())
-        # A conjunction re-reads the same field, so the worker-side
-        # deref memo serves the second read: hits and misses both > 0.
-        db.sql("SELECT id FROM t WHERE v > 2 AND v < 9")
-        workers = db.scheduler_stats()["workers"]
-        assert any(w["deref_hits"] > 0 for w in workers.values())
-        assert any(w["deref_misses"] > 0 for w in workers.values())
-        for per in workers.values():
-            if per["deref_hits"] or per["deref_misses"]:
-                expected = per["deref_hits"] / (
-                    per["deref_hits"] + per["deref_misses"]
-                )
-                assert per["deref_hit_rate"] == pytest.approx(expected)
-
     def test_retry_attribution(self, db):
         db.configure_observability(ObservabilityConfig())
         db.configure_faults(spec="seed=7;pool.worker:action=error,once=1")
@@ -107,24 +92,6 @@ class TestWorkerMetrics:
         assert "worker_morsels_total{" in text
         assert "worker_morsel_seconds_bucket{" in text
 
-    def test_global_deref_counters_survive_worker_redirect(self, db):
-        # Traced tasks flush deref tallies into the worker-local
-        # registry; the scheduler re-publishes them globally so the
-        # coordinator's exporters keep reporting them.
-        obs = db.configure_observability(ObservabilityConfig())
-        db.sql("SELECT id FROM t WHERE v > 2 AND v < 9")
-        hits = obs.metrics.counter(
-            "deref_cache_requests_total", outcome="hit"
-        ).value
-        saved = obs.metrics.counter("deref_saved_traversals_total").value
-        assert hits > 0
-        assert saved == hits
-        worker_hits = sum(
-            per["deref_hits"]
-            for per in db.scheduler_stats()["workers"].values()
-        )
-        assert hits >= worker_hits > 0
-
     def test_worker_morsel_seconds_percentiles(self, db):
         obs = db.configure_observability(ObservabilityConfig())
         db.sql("SELECT id FROM t WHERE v = 3")
@@ -143,7 +110,7 @@ class TestWorkerMetrics:
         db.sql("SELECT id FROM t WHERE v = 3")
         text = db.observability_report()
         assert "Per-worker telemetry:" in text
-        assert "deref_hit_rate" in text
+        assert "queue_wait" in text
 
 
 class TestProcessPoolTelemetry:

@@ -299,8 +299,9 @@ def test_self_ref_join_key(db):
 
 
 def test_deref_savings_reported(db):
-    """Repeated-field predicates report saved physical dereferences."""
-    plan = ScanNode("R", gt("A", 2) & lt("A", 35))
+    """Sort-merge join keys, re-extracted by the quicksort, report saved
+    physical dereferences."""
+    plan = JoinNode(ScanNode("R"), ScanNode("S"), "A", "A", "sort_merge")
     _, counts = _run(BatchExecutor(db.catalog), plan)
     assert counts.extra.get(DEREF_SAVED_COUNTER, 0) > 0
 

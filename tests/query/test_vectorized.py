@@ -10,7 +10,7 @@ from repro.query.vectorized import (
     DEREF_SAVED_COUNTER,
     BatchExecutor,
     ExecutionConfig,
-    ref_extractor,
+    row_extractor,
 )
 from repro.query.vectorized.compile import compile_predicate
 from repro.query.vectorized.deref import RowFieldAccess, ScanFieldAccess
@@ -81,27 +81,32 @@ class TestConfigureExecution:
         assert type(executor) is BatchExecutor
 
 
+def _scan_rows(database):
+    result = database.executor.execute(ScanNode("T"))
+    return result.descriptor, result.rows()
+
+
 class TestDerefCache:
     def test_hit_skips_physical_work_and_tallies(self, db):
-        relation, refs = _refs(db)
-        extract = ref_extractor(relation, "V", counted=True)
+        descriptor, rows = _scan_rows(db)
+        extract = row_extractor(descriptor, "V")
         with counters_scope() as counters:
-            first = [extract(ref) for ref in refs]
-            second = [extract(ref) for ref in refs]
+            first = [extract(row) for row in rows]
+            second = [extract(row) for row in rows]
             extract.flush()
         assert first == second
         snap = counters.snapshot()
         # One logical traversal per call either way...
-        assert snap.traversals == 2 * len(refs)
+        assert snap.traversals == 2 * len(rows)
         # ...but the second pass was served from the memo.
-        assert snap.extra[DEREF_SAVED_COUNTER] == len(refs)
+        assert snap.extra[DEREF_SAVED_COUNTER] == len(rows)
 
     def test_flush_is_idempotent(self, db):
-        relation, refs = _refs(db)
-        extract = ref_extractor(relation, "V")
+        descriptor, rows = _scan_rows(db)
+        extract = row_extractor(descriptor, "V")
         with counters_scope() as counters:
-            extract(refs[0])
-            extract(refs[0])
+            extract(rows[0])
+            extract(rows[0])
             extract.flush()
             extract.flush()
         assert counters.snapshot().extra[DEREF_SAVED_COUNTER] == 1
