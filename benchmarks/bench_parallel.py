@@ -6,9 +6,8 @@ projections) through the batch engine at each ``--workers`` count and
 reports wall-clock, weighted cost, and raw counters per worker count.
 
 Asserted: **determinism** — every worker count produces identical
-result rows and identical merged Section 3.1 counter totals (the
-``deref_saved_traversals`` extra is excluded: per-morsel memos cannot
-span morsel boundaries, see DESIGN.md section 3.9).  Wall-clock and
+result rows and identical merged Section 3.1 counter totals (see
+DESIGN.md section 3.9).  Wall-clock and
 speed-ups are reported, never gated: the end-to-end benchmark
 (``benchmarks/e2e``, ``query_mix_par``) is where parallel time is
 judged.
@@ -74,12 +73,6 @@ def _cpu_count() -> int:
         return 1
 
 
-def _counters_key(snapshot) -> dict:
-    counts = snapshot.as_dict()
-    counts.pop("deref_saved_traversals", None)
-    return counts
-
-
 def run_query_mix(db, plans, series):
     """Time the mix per worker count.
 
@@ -101,7 +94,7 @@ def run_query_mix(db, plans, series):
         )
         with counters_scope() as scope:
             rows = [db.executor.execute(plan).rows() for plan in plans]
-        counts = _counters_key(scope.snapshot())
+        counts = scope.snapshot().as_dict()
         if reference_counts is None:
             reference_counts, reference_rows = counts, rows
         else:

@@ -8,16 +8,14 @@ engines:
 
 * the tuple-at-a-time reference :class:`~repro.query.executor.Executor`;
 * the batch :class:`~repro.query.vectorized.BatchExecutor` (compiled
-  predicates, partitioned hash join, dereference-cached keys, each
+  predicates, single-dict hash join, key columns read once, each
   operator over its child's whole row list).
 
-Reported per engine: wall-clock, the Section 3.1 weighted cost, raw
-comparison/traversal/hash counts and the batch engine's
-``deref_saved_traversals`` (physical dereferences avoided by the
-per-operator cache).  The run asserts identical result rows per query
-and counter equivalence on every non-hash path; the wall-clock speedup
-of the batch engine is reported, not gated (the end-to-end benchmark,
-``benchmarks/e2e``, is where time is judged).
+Reported per engine: wall-clock, the Section 3.1 weighted cost and raw
+comparison/traversal/hash counts.  The run asserts identical result
+rows per query and counter equivalence on every non-hash path; the
+wall-clock speedup of the batch engine is reported, not gated (the
+end-to-end benchmark, ``benchmarks/e2e``, is where time is judged).
 """
 
 from __future__ import annotations
@@ -211,7 +209,6 @@ def differential_check(db, plans):
         if not _uses_hash_kernel(plan):
             t = ct.snapshot().as_dict()
             b = cb.snapshot().as_dict()
-            b.pop("deref_saved_traversals", None)
             assert t == b, (plan, t, b)
             checked_equal += 1
     return checked_equal
@@ -232,7 +229,6 @@ def main() -> None:
             "comparisons",
             "traversals",
             "hashes",
-            "deref_saved",
         ],
     )
     seconds_by_engine = {}
@@ -253,7 +249,6 @@ def main() -> None:
             comparisons=counters.comparisons,
             traversals=counters.traversals,
             hashes=counters.hashes,
-            deref_saved=counters.extra.get("deref_saved_traversals", 0),
         )
 
     speedup = seconds_by_engine["tuple"] / seconds_by_engine["batch"]

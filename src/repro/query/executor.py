@@ -274,17 +274,19 @@ class Executor:
         The one duplicate-elimination hook: plan projections and
         ``MainMemoryDatabase.project`` (SQL ``DISTINCT``) both call it,
         so each engine runs its own algorithm.  Here, the paper's
-        ``project_hash`` or ``project_sort_scan`` over counted key
-        extractors.
+        ``project_hash`` or ``project_sort_scan`` over row positions,
+        keyed through :meth:`_position_key`.
         """
-        result = TemporaryList(descriptor, rows)
-        extractors = [result.value_extractor(name) for name in columns]
+        keys = [
+            self._position_key(TemporaryList(descriptor, rows), name)
+            for name in columns
+        ]
 
-        def row_key(row: Tuple[TupleRef, ...]) -> Tuple[Any, ...]:
-            return tuple(extract(row) for extract in extractors)
+        def row_key(position: int) -> Tuple[Any, ...]:
+            return tuple(key(position) for key in keys)
 
         dedupe = project_hash if method == "hash" else project_sort_scan
-        return dedupe(rows, row_key)
+        return [rows[i] for i in dedupe(range(len(rows)), row_key)]
 
     # ------------------------------------------------------------------ #
     # ordering
@@ -295,15 +297,41 @@ class Executor:
     ) -> List[Tuple[TupleRef, ...]]:
         """ORDER BY support: the result's rows sorted by one column.
 
-        Uses the paper's instrumented quicksort; the batch engine
-        overrides the key extractor with a dereference-cached one (same
-        counts, one physical deref per row instead of one per
-        comparison).
+        The paper's instrumented quicksort over row positions, keyed
+        through :meth:`_position_key`.
         """
-        extractor = result.value_extractor(column)
-        rows = list(result.rows())
-        quicksort(rows, key_of=extractor)
-        return rows
+        order = list(range(len(result)))
+        quicksort(order, key_of=self._position_key(result, column))
+        rows = result.rows()
+        return [rows[i] for i in order]
+
+    def _position_key(
+        self, result: TemporaryList, column: str
+    ) -> Callable[[int], Any]:
+        """``position -> key`` over ``result``'s rows: the one key hook.
+
+        The reference algorithms — quicksort, the non-hash joins and
+        both duplicate eliminations — run over row positions and call
+        this for every key they extract; each call is one logical
+        traversal, as the paper charges it.  Here each call reads the
+        row's field through the counted value extractor; the batch
+        engine reads the whole column once instead.  ``REF_COLUMN``
+        keys on the row's own pointer, which costs no traversal.
+        """
+        rows = result.rows()
+        if column == REF_COLUMN:
+            sources = result.descriptor.sources
+            if len(sources) != 1:
+                raise PlanError(
+                    f"{REF_COLUMN} is ambiguous over {len(sources)} sources"
+                )
+            return [row[0] for row in rows].__getitem__
+        extract = result.value_extractor(column)
+
+        def key(position: int) -> Any:
+            return extract(rows[position])
+
+        return key
 
     # ------------------------------------------------------------------ #
     # join
@@ -316,22 +344,6 @@ class Executor:
                 "(the index lives on the base relation)"
             )
         return self.catalog.relation(plan.relation_name)
-
-    def _key_extractor(
-        self, rows_list: TemporaryList, column: str
-    ) -> Callable[[Tuple[TupleRef, ...]], Any]:
-        if column == REF_COLUMN:
-            sources = rows_list.descriptor.sources
-            if len(sources) != 1:
-                raise PlanError(
-                    f"{REF_COLUMN} is ambiguous over {len(sources)} sources"
-                )
-
-            def self_ref(row: Tuple[TupleRef, ...]) -> TupleRef:
-                return row[0]
-
-            return self_ref
-        return rows_list.value_extractor(column)
 
     def _execute_join(self, node: JoinNode) -> TemporaryList:
         method = node.method
@@ -346,30 +358,26 @@ class Executor:
 
         left = self.execute(node.left)
         right = self.execute(node.right)
-        left_key = self._key_extractor(left, node.left_col)
-        right_key = self._key_extractor(right, node.right_col)
         if method == "hash":
-            pairs = join_ops.hash_join(
-                left.rows(), right.rows(), left_key, right_key
-            )
+            algorithm = join_ops.hash_join
         elif method == "sort_merge":
-            pairs = join_ops.sort_merge_join(
-                left.rows(), right.rows(), left_key, right_key
-            )
+            algorithm = join_ops.sort_merge_join
         elif method == "nested_loops":
-            pairs = join_ops.nested_loops_join(
-                left.rows(), right.rows(), left_key, right_key
-            )
+            algorithm = join_ops.nested_loops_join
         else:  # pragma: no cover - guarded by JoinNode.__post_init__
             raise PlanError(f"unhandled join method {method!r}")
-        descriptor = join_descriptor(left.descriptor, right.descriptor)
-        rows = [l_row + r_row for l_row, r_row in pairs]
-        return TemporaryList(descriptor, rows)
+        pairs = algorithm(
+            range(len(left)),
+            range(len(right)),
+            self._position_key(left, node.left_col),
+            self._position_key(right, node.right_col),
+        )
+        return _paired(left, right, pairs)
 
     def _join_nonequi(self, node: JoinNode) -> TemporaryList:
         """Inequality joins: ordered-index range scans or nested loops."""
         left = self.execute(node.left)
-        left_key = self._key_extractor(left, node.left_col)
+        left_key = self._position_key(left, node.left_col)
         if node.method == "tree":
             right_rel = self._bare_relation(node.right, "tree")
             index = right_rel.index_on(node.right_col, ordered=True)
@@ -380,21 +388,18 @@ class Executor:
                 )
             with obs_runtime.span("tree_join.probe", "join_phase"):
                 pairs = join_ops.tree_inequality_join(
-                    left.rows(), left_key, index, node.op
+                    range(len(left)), left_key, index, node.op
                 )
-            right_desc = ResultDescriptor.whole_relation(right_rel)
-            descriptor = join_descriptor(left.descriptor, right_desc)
-            rows = [l_row + (r_ref,) for l_row, r_ref in pairs]
-            return TemporaryList(descriptor, rows)
+            return _probed(left, right_rel, pairs)
         right = self.execute(node.right)
-        right_key = self._key_extractor(right, node.right_col)
-        predicate = THETA_COMPARATORS[node.op]
         pairs = join_ops.theta_join(
-            left.rows(), right.rows(), left_key, right_key, predicate
+            range(len(left)),
+            range(len(right)),
+            left_key,
+            self._position_key(right, node.right_col),
+            THETA_COMPARATORS[node.op],
         )
-        descriptor = join_descriptor(left.descriptor, right.descriptor)
-        rows = [l_row + r_row for l_row, r_row in pairs]
-        return TemporaryList(descriptor, rows)
+        return _paired(left, right, pairs)
 
     def _join_tree(self, node: JoinNode) -> TemporaryList:
         left = self.execute(node.left)
@@ -405,13 +410,10 @@ class Executor:
                 f"tree join needs an ordered index on "
                 f"{right_rel.name}.{node.right_col}"
             )
-        left_key = self._key_extractor(left, node.left_col)
+        left_key = self._position_key(left, node.left_col)
         with obs_runtime.span("tree_join.probe", "join_phase"):
-            pairs = join_ops.tree_join(left.rows(), left_key, index)
-        right_desc = ResultDescriptor.whole_relation(right_rel)
-        descriptor = join_descriptor(left.descriptor, right_desc)
-        rows = [l_row + (r_ref,) for l_row, r_ref in pairs]
-        return TemporaryList(descriptor, rows)
+            pairs = join_ops.tree_join(range(len(left)), left_key, index)
+        return _probed(left, right_rel, pairs)
 
     def _join_tree_merge(self, node: JoinNode) -> TemporaryList:
         left_rel = self._bare_relation(node.left, "tree_merge")
@@ -450,9 +452,31 @@ class Executor:
                 "field; precomputed join needs a materialised pointer"
             )
         right_rel = self.catalog.relation(logical.references.relation)
-        pointer_of = left.value_extractor(node.left_col)
-        pairs = join_ops.precomputed_join(left.rows(), pointer_of)
-        right_desc = ResultDescriptor.whole_relation(right_rel)
-        descriptor = join_descriptor(left.descriptor, right_desc)
-        rows = [l_row + (r_ref,) for l_row, r_ref in pairs]
-        return TemporaryList(descriptor, rows)
+        pairs = join_ops.precomputed_join(
+            range(len(left)), self._position_key(left, node.left_col)
+        )
+        return _probed(left, right_rel, pairs)
+
+
+def _paired(
+    left: TemporaryList, right: TemporaryList, pairs: List[Tuple[int, int]]
+) -> TemporaryList:
+    """The joined rows of ``(left position, right position)`` pairs."""
+    left_rows, right_rows = left.rows(), right.rows()
+    descriptor = join_descriptor(left.descriptor, right.descriptor)
+    return TemporaryList(
+        descriptor, [left_rows[i] + right_rows[j] for i, j in pairs]
+    )
+
+
+def _probed(
+    left: TemporaryList, right_rel: Relation, pairs: List[Tuple[int, Any]]
+) -> TemporaryList:
+    """The joined rows of ``(left position, right pointer)`` pairs: an
+    index probe of ``right_rel``, or its stored pointers followed."""
+    left_rows = left.rows()
+    right_desc = ResultDescriptor.whole_relation(right_rel)
+    descriptor = join_descriptor(left.descriptor, right_desc)
+    return TemporaryList(
+        descriptor, [left_rows[i] + (ref,) for i, ref in pairs]
+    )

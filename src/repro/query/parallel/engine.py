@@ -7,8 +7,9 @@ batch engine's four row kernels out over a
 
 * ``_scan_refs`` / ``_filter_rows`` — selection, morsels of the input
   pointers / rows;
-* ``_hash_join_rows`` — parallel partitioned build *and* probe,
-  broadcast of the merged build table as one pickled blob;
+* ``_hash_join_rows`` — parallel build *and* probe on the serial
+  engine's own kernels, broadcast of the merged build table as one
+  pickled blob;
 * ``dedup_rows`` — hash duplicate elimination, local dedup per morsel,
   ordered merge.
 
@@ -23,12 +24,10 @@ below one morsel run in-process.
 input size and ``morsel_size`` only, never of the worker count; every
 parallelised operator charges only per-item-decomposable counts in the
 workers, and the coordinator charges the whole-operator constants (the
-hash-table partition allocation, the dedup set allocation, the final
+hash-table header allocation, the dedup set allocation, the final
 moves).  Summed, the five Section 3.1 counters are *identical* for any
 ``workers`` — including 1, which never reaches this class — and
-identical to the scalar batch engine.  No worker task memoizes a
-dereference, so neither engine reports ``deref_saved_traversals`` for
-the four kernels.
+identical to the scalar batch engine.
 
 Per-morsel counts merge under a ``<op>.morsel`` span each, so with
 tracing active the rollup places every worker's ops inside the
@@ -63,10 +62,12 @@ from repro.query.vectorized.config import (
     DEFAULT_MORSEL_SIZE,
     DEFAULT_RETRY_ATTEMPTS,
 )
+from repro.query.vectorized.deref import batch_key
 from repro.query.vectorized.engine import BatchExecutor
 from repro.query.vectorized.kernels import (
-    DEFAULT_PARTITIONS,
-    _fit_partitions,
+    build_hash_table,
+    charge_table_header,
+    probe_hash_table,
 )
 from repro.storage.temporary import ResultDescriptor
 
@@ -243,33 +244,29 @@ class ParallelBatchExecutor(BatchExecutor):
             )
         token = self.scheduler.token
         with obs_runtime.span("hash_join.build", "join_phase"):
-            groups = self._build_groups(token, right_desc, node.right_col, inner)
-            # The whole-table constant the scalar kernel charges in its
-            # constructor, charged once by the coordinator.
-            count_alloc(_fit_partitions(len(inner), DEFAULT_PARTITIONS))
+            table = self._build_table(token, right_desc, node.right_col, inner)
+            charge_table_header(len(inner))
         with obs_runtime.span("hash_join.probe", "join_phase"):
-            return self._probe_groups(
-                token, left_desc, node.left_col, outer, groups
+            return self._probe_table(
+                token, left_desc, node.left_col, outer, table
             )
 
-    def _build_groups(
+    def _build_table(
         self, token: int, descriptor: ResultDescriptor, column: str, inner: list
     ) -> dict:
-        """Build-side groups ``{key: [pointer rows]}`` in input order.
+        """The build table ``{key: [pointer rows]}`` in input order.
 
-        The rows in the groups are tuples of plain ints either way —
-        the groups are pickled into the broadcast blob, which must
-        never walk ``TupleRef.__reduce__``.
+        Its rows are tuples of plain ints either way — the table is
+        pickled into the broadcast blob, which must never walk
+        ``TupleRef.__reduce__``.
         """
-        from repro.query.parallel import tasks
-
         if len(inner) <= self.morsel_size:
             # Small build side: group in-process (same charges as one
             # worker morsel would make, minus the shipping).
-            keys, cost = self._batch_key(descriptor, column, inner)
+            keys, cost = batch_key(descriptor, column, inner)
             count_traverse(len(inner) * cost)
             plain = decode_rows(encode_rows(inner))
-            return tasks.build_groups(plain, keys)
+            return build_hash_table(plain, keys)
         spec = describe(descriptor)
         payloads = [
             (token, spec, column, morsel)
@@ -277,8 +274,8 @@ class ParallelBatchExecutor(BatchExecutor):
         ]
         results = self.scheduler.run("hash_build", payloads)
         merged: dict = {}
-        for groups in self._merge_morsels("hash_join.build", results):
-            for key, rows in groups.items():
+        for fragment in self._merge_morsels("hash_join.build", results):
+            for key, rows in fragment.items():
                 bucket = merged.get(key)
                 if bucket is None:
                     merged[key] = rows
@@ -286,22 +283,20 @@ class ParallelBatchExecutor(BatchExecutor):
                     bucket.extend(rows)
         return merged
 
-    def _probe_groups(
+    def _probe_table(
         self,
         token: int,
         descriptor: ResultDescriptor,
         column: str,
         outer: list,
-        groups: dict,
+        table: dict,
     ) -> list:
-        from repro.query.parallel import tasks
-
         if len(outer) <= self.morsel_size:
-            # Small probe side: probe the groups in-process.
-            keys, cost = self._batch_key(descriptor, column, outer)
+            # Small probe side: probe the table in-process.
+            keys, cost = batch_key(descriptor, column, outer)
             count_traverse(len(outer) * cost)
-            return tasks.probe_groups(groups, outer, keys)
-        blob = pickle.dumps(groups, protocol=pickle.HIGHEST_PROTOCOL)
+            return probe_hash_table(table, outer, keys)
+        blob = pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL)
         table_id = self.scheduler.next_blob_id()
         spec = describe(descriptor)
         payloads = [

@@ -26,12 +26,7 @@ from collections import OrderedDict
 from itertools import compress
 from typing import Any, Dict, Optional, Tuple
 
-from repro.instrument import (
-    count_hash,
-    count_move,
-    count_traverse,
-    counters_scope,
-)
+from repro.instrument import count_hash, count_traverse, counters_scope
 from repro.instrument.counters import OpCounters
 from repro.query.executor import filter_column_resolver
 from repro.query.parallel.transport import (
@@ -42,14 +37,14 @@ from repro.query.parallel.transport import (
     encode_rows,
     rebuild,
 )
-from repro.query.plan import REF_COLUMN
 from repro.query.vectorized.compile import compile_predicate
 from repro.query.vectorized.deref import (
     RowFieldAccess,
     ScanFieldAccess,
+    batch_key,
     dedup_keys,
-    raw_row_extractor,
 )
+from repro.query.vectorized.kernels import build_hash_table, probe_hash_table
 
 #: token -> Catalog.  Filled by the parent (scheduler) *before* pool
 #: processes fork, inherited copy-on-write by every worker.
@@ -123,51 +118,6 @@ def merge_packed(counters: OpCounters, packed: Tuple[int, ...]) -> None:
         counters.bump(name, value)
 
 
-def _batch_key(descriptor, column: str, rows: list):
-    """(join keys of the pointer ``rows``, traversal charges per row)."""
-    if column == REF_COLUMN:
-        return [row[0] for row in rows], 0
-    return raw_row_extractor(descriptor, column).column(rows), 1
-
-
-def build_groups(items: list, keys: list) -> dict:
-    """Group ``items`` by parallel ``keys``, insertion order preserved.
-
-    The per-morsel slice of the scalar hash build: charges one hash and
-    one move per row, exactly the build kernel's per-row charges; the
-    partition-header allocation is charged once by the coordinator.
-    """
-    groups: dict = {}
-    for item, key in zip(items, keys):
-        bucket = groups.get(key)
-        if bucket is None:
-            groups[key] = [item]
-        else:
-            bucket.append(item)
-    count_hash(len(items))
-    count_move(len(items))
-    return groups
-
-
-def probe_groups(groups: dict, rows: list, keys: list) -> list:
-    """Probe pointer rows against merged build groups.
-
-    Emits ``outer + inner`` concatenations with equal-key matches
-    newest-first (``reversed``), matching the scalar kernel's LIFO
-    order; charges one hash per probe row and one move per emitted row.
-    """
-    out: list = []
-    append = out.append
-    for row, key in zip(rows, keys):
-        matches = groups.get(key)
-        if matches is not None:
-            for inner in reversed(matches):
-                append(row + inner)
-    count_hash(len(rows))
-    count_move(len(out))
-    return out
-
-
 def local_dedup(rows: list, keys: list) -> list:
     """First-occurrence-wins survivors of one morsel, with their keys.
 
@@ -218,13 +168,14 @@ def _filter_rows(payload) -> tuple:
 
 
 def _hash_build(payload) -> dict:
-    """Group one build-side morsel's pointer rows by join key."""
+    """Group one build-side morsel's pointer rows by join key: one
+    slice of the serial build; the coordinator charges the header."""
     token, spec, column, packed = payload
     descriptor = rebuild(_CATALOGS[token], spec)
     rows = decode_rows(packed)
-    keys, cost = _batch_key(descriptor, column, rows)
+    keys, cost = batch_key(descriptor, column, rows)
     count_traverse(len(rows) * cost)
-    return build_groups(rows, keys)
+    return build_hash_table(rows, keys)
 
 
 def _hash_probe(payload) -> tuple:
@@ -237,16 +188,16 @@ def _hash_probe(payload) -> tuple:
     token, spec, column, table_id, blob, packed = payload
     descriptor = rebuild(_CATALOGS[token], spec)
     cache_key = (token, table_id)
-    groups = _TABLE_CACHE.get(cache_key)
-    if groups is None:
-        groups = pickle.loads(blob)
-        _cache_table(cache_key, groups)
+    table = _TABLE_CACHE.get(cache_key)
+    if table is None:
+        table = pickle.loads(blob)
+        _cache_table(cache_key, table)
     else:
         _TABLE_CACHE.move_to_end(cache_key)
     rows = decode_rows(packed)
-    keys, cost = _batch_key(descriptor, column, rows)
+    keys, cost = batch_key(descriptor, column, rows)
     count_traverse(len(rows) * cost)
-    return encode_rows(probe_groups(groups, rows, keys))
+    return encode_rows(probe_hash_table(table, rows, keys))
 
 
 def _hash_dedup(payload) -> list:
@@ -327,12 +278,13 @@ def _run_traced(
     """One traced task under a worker-local observability instance.
 
     The worker activates its own lightweight
-    :class:`~repro.obs.Observability` (metrics always, tracing in span
-    mode) for the duration of the handler and restores the previous
-    instance after — essential in inline mode, where "worker" and
-    coordinator share a process and the coordinator's tracer must not
-    see worker-internal spans directly (they arrive grafted instead,
-    identically to the process-pool path).
+    :class:`~repro.obs.Observability` (tracing in span mode, no metrics:
+    nothing reads a worker-local registry) for the duration of the
+    handler and restores the previous instance after — essential in
+    inline mode, where "worker" and coordinator share a process and the
+    coordinator's tracer and metrics must not see worker-internal
+    events directly (spans arrive grafted instead, identically to the
+    process-pool path).
     """
     from repro.obs import Observability, ObservabilityConfig
     from repro.obs import runtime as obs_runtime
@@ -342,7 +294,7 @@ def _run_traced(
     local = Observability(
         ObservabilityConfig(
             tracing=mode >= TRACE_SPANS,
-            metrics=True,
+            metrics=False,
             slow_query_ops=None,
             flight_recorder=False,
         )

@@ -1,174 +1,89 @@
-"""Field readers for the batch operators, and the per-operator memo.
+"""Field readers for the batch operators.
 
 The paper's cost model charges one pointer traversal per (tuple, field)
 extraction.  Physically, every extraction here is
 :meth:`Relation.reader <repro.storage.relation.Relation.reader>`: one
-fused slot read out of the partition, with the checked walk through
-``_locate`` only for forwarded, deleted or missing tuples.  That read
-is cheap enough not to cache, so predicates and the hash kernels use
-the raw (unmemoized) readers, which carry ``column(items)``: the same
-read a batch at a time.  A compiled predicate reads each field once
-per item per batch (:mod:`~repro.query.vectorized.compile`).
-
-:func:`row_extractor` is the memo that is left: the quicksort keys of
-``ORDER BY`` and sort-scan duplicate elimination, and the keys of the
-non-hash join algorithms, which re-extract the same (tuple, field)
-many times.  It keeps the extracted value per tuple pointer, so a memo
-hit saves one fused read, while the *logical* traversal is still
-counted exactly as the tuple engine counts it — the paper's graphs
-stay reproducible — and every avoided physical dereference is tallied
-separately under ``OpCounters.extra["deref_saved_traversals"]``.
+fused slot read (``_locate`` only for forwarded, deleted or missing
+tuples), cheap enough not to cache, so nothing here memoizes.  A
+compiled predicate reads each field once per item per batch; a hash
+kernel, a sort or a non-hash join reads its key column once per
+operator input (:func:`batch_key`) and charges the logical traversals
+as the reference algorithm makes them.
 
 Caveat: forwarding-chain hops (left behind by heap-overflow
-relocations, footnote 1) are counted once per physical read: a memo
-hit, or a predicate's second comparison on a field, charges the single
-logical traversal but not the chain walk.  Relations that have
-experienced relocations are therefore outside the strict
-counter-equivalence contract (and outside the paper's steady-state
-measurements, which never relocate).
+relocations, footnote 1) are charged once per physical read, not once
+per logical traversal, so relations that have relocated tuples are
+outside the strict counter-equivalence contract (and outside the
+paper's steady-state measurements, which never relocate).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Sequence, Tuple
 
-from repro.instrument import count_event, count_traverse
-from repro.obs import runtime as obs_runtime
+from repro.errors import PlanError
+from repro.instrument import count_traverse
+from repro.query.plan import REF_COLUMN
 from repro.storage.relation import Relation
 from repro.storage.temporary import ResultDescriptor
 from repro.storage.tuples import TupleRef
 
-#: The extra-counter name under which avoided physical dereferences are
-#: reported (see ``OpCounters.extra``).
-DEREF_SAVED_COUNTER = "deref_saved_traversals"
-
-_MISS = object()
+Row = Tuple[TupleRef, ...]
 
 
-def _attach_flush(extract: Callable, pending: list) -> Callable:
-    """Give ``extract`` a ``flush()`` draining its hit/miss tallies.
-
-    Per-call bookkeeping is a bare list-cell increment (``pending`` is
-    ``[hits, misses]``) — the hot path of every cached extractor — and
-    ``flush`` publishes the accumulated savings with one
-    :func:`count_event` call.  When observability metrics are active,
-    the tallies also land in the
-    :class:`~repro.obs.metrics.MetricsRegistry` (and from there the
-    Prometheus-text exporter) as ``deref_saved_traversals_total`` and
-    per-outcome ``deref_cache_requests_total`` counters.  Callers flush
-    at operator (or batch) boundaries; flushing is idempotent.
-    """
-
-    def flush() -> None:
-        hits, misses = pending
-        if hits:
-            count_event(DEREF_SAVED_COUNTER, hits)
-        if hits or misses:
-            act = obs_runtime.active()
-            if act is not None and act.metrics is not None:
-                if hits:
-                    act.metric_inc(
-                        "deref_saved_traversals_total", hits
-                    )
-                    act.metric_inc(
-                        "deref_cache_requests_total", hits, outcome="hit"
-                    )
-                if misses:
-                    act.metric_inc(
-                        "deref_cache_requests_total",
-                        misses,
-                        outcome="miss",
-                    )
-            pending[0] = pending[1] = 0
-
-    extract.flush = flush
-    return extract
-
-
-def row_extractor(
+def column_reader(
     descriptor: ResultDescriptor, column_name: str
-) -> Callable[[Tuple[TupleRef, ...]], Any]:
-    """A memoizing ``pointer row -> column value`` extractor.
-
-    The drop-in counterpart of ``TemporaryList.value_extractor``: it
-    charges the same one traversal per call, but a memo hit (keyed by
-    the row's source pointer, so rows sharing a base tuple share the
-    memo) skips the physical read.  Hits accumulate locally; callers
-    publish them via ``extract.flush()``.
-    """
-    col = descriptor.column(column_name)
-    read = descriptor.sources[col.source].reader(col.field)
-    source = col.source
-    memo: dict = {}
-    miss = _MISS
-    pending = [0, 0]
-
-    def extract(row: Tuple[TupleRef, ...]) -> Any:
-        count_traverse()
-        ref = row[source]
-        value = memo.get(ref, miss)
-        if value is miss:
-            value = memo[ref] = read(ref)
-            pending[1] += 1
-        else:
-            pending[0] += 1
-        return value
-
-    return _attach_flush(extract, pending)
-
-
-def raw_row_extractor(
-    descriptor: ResultDescriptor, column_name: str
-) -> Callable[[Tuple[TupleRef, ...]], Any]:
-    """An unmemoized, uncounted ``pointer row -> column value`` reader.
-
-    For kernels that touch each row's key exactly once and charge the
-    traversals in bulk themselves (e.g. hash duplicate elimination):
-    there a memo can never hit, so the plain dereference is cheapest.
-    Its ``column(rows)`` reads a whole batch through the source
-    relation's ``reader.column``.
-    """
+) -> Callable[[Row], Any]:
+    """An uncounted ``pointer row -> column value`` reader; its
+    ``column(rows)`` reads a batch through ``reader.column``."""
     col = descriptor.column(column_name)
     read = descriptor.sources[col.source].reader(col.field)
     read_column = read.column
     source = col.source
 
-    def extract(row: Tuple[TupleRef, ...]) -> Any:
+    def extract(row: Row) -> Any:
         return read(row[source])
 
-    def column(rows: Sequence[Tuple[TupleRef, ...]]) -> List[Any]:
+    def column(rows: Sequence[Row]) -> List[Any]:
         return read_column([row[source] for row in rows])
 
     extract.column = column
     return extract
 
 
+def batch_key(
+    descriptor: ResultDescriptor, column: str, rows: Sequence[Row]
+) -> Tuple[List[Any], int]:
+    """The join or sort keys of ``rows``: ``(keys, traversals per key)``.
+
+    One uncounted column read; the caller charges the traversals.
+    ``REF_COLUMN`` keys on the row's own pointer (no traversal, as in
+    the tuple engine) and is ambiguous over more than one source.
+    """
+    if column == REF_COLUMN:
+        if len(descriptor.sources) != 1:
+            raise PlanError(
+                f"{REF_COLUMN} is ambiguous over "
+                f"{len(descriptor.sources)} sources"
+            )
+        return [row[0] for row in rows], 0
+    return column_reader(descriptor, column).column(rows), 1
+
+
 def dedup_keys(
-    descriptor: ResultDescriptor,
-    column_names: Sequence[str],
-    rows: Sequence[Tuple[TupleRef, ...]],
+    descriptor: ResultDescriptor, names: Sequence[str], rows: Sequence[Row]
 ) -> List[Any]:
     """The duplicate-elimination keys of ``rows``, one column read per
-    key column: a row's value for one column, a tuple of its values for
-    several."""
-    columns = [
-        raw_row_extractor(descriptor, name).column(rows)
-        for name in column_names
-    ]
+    key column: a value for one column, a tuple of values for several."""
+    columns = [column_reader(descriptor, n).column(rows) for n in names]
     if len(columns) == 1:
         return columns[0]
-    if not columns:
-        return [()] * len(rows)
-    return list(zip(*columns))
+    return list(zip(*columns)) if columns else [()] * len(rows)
 
 
 class ScanFieldAccess:
     """Field access for scan predicates: items are raw tuple refs.
-
-    Mirrors the tuple engine's scan counting — ``Relation.read_field``
-    charges *no* traversal — so compiled scan passes charge none
-    either (``counts_traversals`` is False).
-    """
+    Like ``Relation.read_field``, a scan read charges no traversal."""
 
     counts_traversals = False
 
@@ -176,8 +91,7 @@ class ScanFieldAccess:
         self.relation = relation
 
     def extractor(self, field_name: str) -> Callable[[TupleRef], Any]:
-        """The relation's own uncounted
-        :meth:`~repro.storage.relation.Relation.reader`."""
+        """The relation's own uncounted ``reader``."""
         return self.relation.reader(field_name)
 
     def reader(self, ref: TupleRef) -> Callable[[str], Any]:
@@ -193,11 +107,9 @@ class ScanFieldAccess:
 class RowFieldAccess:
     """Field access for filter predicates: items are pointer rows.
 
-    Resolves predicate field names with the executor's filter semantics
-    (exact label, unique qualified suffix, ``Relation.field``) and
-    mirrors the tuple engine's one-traversal-per-read charge: compiled
-    passes charge it in bulk (``counts_traversals`` is True), fallback
-    readers charge it per read.
+    Names resolve with the executor's filter semantics.  Each read
+    charges one traversal, as in the tuple engine: compiled passes in
+    bulk, fallback readers per read.
     """
 
     counts_traversals = True
@@ -207,19 +119,17 @@ class RowFieldAccess:
         self._resolve_name = resolve_name
         self._extractors: dict = {}
 
-    def extractor(
-        self, field_name: str
-    ) -> Callable[[Tuple[TupleRef, ...]], Any]:
-        """An uncounted :func:`raw_row_extractor` for the column the
+    def extractor(self, field_name: str) -> Callable[[Row], Any]:
+        """An uncounted :func:`column_reader` for the column the
         filter semantics bind ``field_name`` to."""
         ext = self._extractors.get(field_name)
         if ext is None:
-            ext = self._extractors[field_name] = raw_row_extractor(
+            ext = self._extractors[field_name] = column_reader(
                 self.descriptor, self._resolve_name(field_name)
             )
         return ext
 
-    def reader(self, row: Tuple[TupleRef, ...]) -> Callable[[str], Any]:
+    def reader(self, row: Row) -> Callable[[str], Any]:
         """A per-item field reader for uncompilable predicate leaves."""
         extractor = self.extractor
 

@@ -13,11 +13,14 @@ run the batch kernels
 *bounded above* by the tuple engine's rather than equal.
 
 Everything else — index leaves, the non-hash join algorithms, sorting,
-sort-based duplicate elimination — deliberately *reuses* the
-instrumented reference algorithms, only swapping in key extractors
-memoized per operator (:mod:`~repro.query.vectorized.deref`): op
-totals stay identical to the tuple engine (the counter-equivalence
-contract) while the physical dereferences behind them collapse.
+sort-based duplicate elimination — is the shared
+:class:`~repro.query.executor.Executor` code running the instrumented
+reference algorithms over row positions.  The one difference is the
+key hook, :meth:`BatchExecutor._position_key`: it reads the key column
+once per operator input and charges one traversal per key the
+algorithm extracts, so op totals stay identical to the tuple engine
+(the counter-equivalence contract) while the physical reads behind
+them collapse to one per row.
 
 The four row kernels — :meth:`BatchExecutor._scan_refs`,
 :meth:`~BatchExecutor._filter_rows`, :meth:`~BatchExecutor._hash_join_rows`
@@ -29,30 +32,22 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Sequence, Tuple
 
-from repro.errors import PlanError
 from repro.instrument import count_traverse
 from repro.obs import runtime as obs_runtime
 from repro.query.executor import Executor, filter_column_resolver
-from repro.query.plan import (
-    REF_COLUMN,
-    FilterNode,
-    JoinNode,
-    ScanNode,
-)
-from repro.query.project import project_sort_scan
+from repro.query.plan import FilterNode, JoinNode, ScanNode
 from repro.query.vectorized.compile import compile_predicate
 from repro.query.vectorized.deref import (
     RowFieldAccess,
     ScanFieldAccess,
+    batch_key,
     dedup_keys,
-    raw_row_extractor,
-    row_extractor,
 )
 from repro.query.vectorized.kernels import (
     build_hash_table,
+    charge_table_header,
     dedup_hash_rows,
     probe_hash_table,
-    sort_rows_cached,
 )
 from repro.storage.temporary import (
     ResultDescriptor,
@@ -62,21 +57,6 @@ from repro.storage.temporary import (
 from repro.storage.tuples import TupleRef
 
 Row = Tuple[TupleRef, ...]
-
-
-def _flush_saved(*extractors: Callable) -> None:
-    """Publish accumulated dereference savings of cached extractors.
-
-    Cached extractors tally memo hits in a local cell (the hot path);
-    operators call this at their boundaries to fold the tally into
-    ``OpCounters.extra`` via one bulk ``count_event``.  Extractors
-    without a ``flush`` attribute (raw readers, ``self_ref``) are
-    skipped.
-    """
-    for extractor in extractors:
-        flush = getattr(extractor, "flush", None)
-        if flush is not None:
-            flush()
 
 
 class BatchExecutor(Executor):
@@ -89,12 +69,6 @@ class BatchExecutor(Executor):
     """
 
     engine_name = "batch"
-
-    def __init__(self, catalog, result_cache=None) -> None:
-        super().__init__(catalog, result_cache)
-        #: Cached key extractors handed to reference join algorithms,
-        #: awaiting a hit-tally flush when the algorithm returns.
-        self._live_keys: List[Callable] = []
 
     # ------------------------------------------------------------------ #
     # operators
@@ -121,17 +95,7 @@ class BatchExecutor(Executor):
             )
             descriptor = join_descriptor(left.descriptor, right.descriptor)
             return TemporaryList(descriptor, rows)
-        # Non-hash joins reuse the reference algorithms; the overridden
-        # _key_extractor below hands them dereference-cached keys, whose
-        # hit tallies are flushed here once the algorithm finishes —
-        # or fails, so a raising join leaves no extractor (and no memo
-        # of every row) behind.
-        marker = len(self._live_keys)
-        try:
-            return super()._execute_join(node)
-        finally:
-            _flush_saved(*self._live_keys[marker:])
-            del self._live_keys[marker:]
+        return super()._execute_join(node)
 
     # ------------------------------------------------------------------ #
     # row kernels (the morsel-parallel engine's override points)
@@ -152,7 +116,7 @@ class BatchExecutor(Executor):
         self, node: FilterNode, descriptor: ResultDescriptor, rows: List[Row]
     ) -> List[Row]:
         """The rows that satisfy ``node.predicate``, under one compiled
-        mask (one dereference memo)."""
+        mask."""
         mask = compile_predicate(
             node.predicate, self._row_access(descriptor)
         )
@@ -169,11 +133,12 @@ class BatchExecutor(Executor):
     ) -> List[Row]:
         """Hash equi-join: build ``inner``, probe with ``outer``."""
         with obs_runtime.span("hash_join.build", "join_phase"):
-            keys, cost = self._batch_key(right_desc, node.right_col, inner)
+            keys, cost = batch_key(right_desc, node.right_col, inner)
             table = build_hash_table(inner, keys)
+            charge_table_header(len(inner))
             count_traverse(len(inner) * cost)
         with obs_runtime.span("hash_join.probe", "join_phase"):
-            keys, cost = self._batch_key(left_desc, node.left_col, outer)
+            keys, cost = batch_key(left_desc, node.left_col, outer)
             rows = probe_hash_table(table, outer, keys)
             count_traverse(len(outer) * cost)
         return rows
@@ -190,66 +155,31 @@ class BatchExecutor(Executor):
         ``hash`` runs the dict-based batch kernel (first occurrence
         wins, same rows/order as ``project_hash``, elementwise cheaper
         counts — like the hash join, outside the strict equivalence
-        contract).  ``sort_scan`` reuses the paper's sort-based
-        algorithm unchanged with dereference-cached keys, so its op
-        totals match the tuple engine exactly.
+        contract).  ``sort_scan`` is the shared reference algorithm
+        over positions, so its op totals match the tuple engine exactly.
         """
-        if method == "hash":
-            keys = dedup_keys(descriptor, columns, rows)
-            return dedup_hash_rows(rows, keys, keys_per_row=len(columns))
-        extractors = [row_extractor(descriptor, name) for name in columns]
-
-        def row_key(row: Row) -> Tuple[Any, ...]:
-            return tuple(extract(row) for extract in extractors)
-
-        unique = project_sort_scan(rows, row_key)
-        _flush_saved(*extractors)
-        return unique
+        if method != "hash":
+            return super().dedup_rows(descriptor, rows, columns, method)
+        keys = dedup_keys(descriptor, columns, rows)
+        return dedup_hash_rows(rows, keys, keys_per_row=len(columns))
 
     def _row_access(self, descriptor: ResultDescriptor) -> RowFieldAccess:
         return RowFieldAccess(
             descriptor, filter_column_resolver(descriptor)
         )
 
-    def _batch_key(
-        self, descriptor: ResultDescriptor, column: str, rows: List[Row]
-    ) -> Tuple[List[Any], int]:
-        """Hash-kernel join keys of ``rows``: ``(keys, traversals per
-        row)``.
-
-        The kernel keys each row exactly once, so the keys are one
-        column read (no memo) and the caller charges the logical
-        traversals in bulk — one per keyed row, what the tuple engine's
-        per-call extractor charges — after the build/probe pass.
-        ``REF_COLUMN`` keys on the row's own pointer, which the tuple
-        engine reads without a traversal charge.
-        """
-        if column == REF_COLUMN:
-            if len(descriptor.sources) != 1:
-                raise PlanError(
-                    f"{REF_COLUMN} is ambiguous over "
-                    f"{len(descriptor.sources)} sources"
-                )
-            return [row[0] for row in rows], 0
-        return raw_row_extractor(descriptor, column).column(rows), 1
-
-    # ------------------------------------------------------------------ #
-    # cached-key hooks into the reference algorithms
-    # ------------------------------------------------------------------ #
-
-    def _key_extractor(
-        self, rows_list: TemporaryList, column: str
-    ) -> Callable[[Row], Any]:
-        if column == REF_COLUMN:
-            return super()._key_extractor(rows_list, column)
-        extractor = row_extractor(rows_list.descriptor, column)
-        self._live_keys.append(extractor)
-        return extractor
-
-    def sort_rows(
+    def _position_key(
         self, result: TemporaryList, column: str
-    ) -> List[Row]:
-        extractor = row_extractor(result.descriptor, column)
-        rows = sort_rows_cached(list(result.rows()), extractor)
-        _flush_saved(extractor)
-        return rows
+    ) -> Callable[[int], Any]:
+        """``position -> key``: the key column read once, one traversal
+        charged per call — what the tuple engine's per-call read
+        charges."""
+        keys, cost = batch_key(result.descriptor, column, result.rows())
+        if not cost:
+            return keys.__getitem__
+
+        def key(position: int) -> Any:
+            count_traverse()
+            return keys[position]
+
+        return key

@@ -1,38 +1,32 @@
-"""Batch kernels: partitioned hash-join build/probe, key-cached sorts.
+"""Batch kernels: hash-join build/probe and hash duplicate elimination.
 
-The hash-join kernel follows the hybrid-hash shape: the build side is
-split across a small power-of-two number of partitions (each its own
-dict keyed by join value), probes hash straight to their partition, and
-equal-key matches are emitted newest-first — the same order the tuple
-engine's Chained Bucket Hash produces (its chains are LIFO), so results
-are bit-identical.
+The hash-join kernel is the paper's hash join (§3.3) on a single table
+keyed by join value: the build groups the inner rows ``{key: [rows]}``
+in input order, and the probe emits equal-key matches newest-first —
+the same order the tuple engine's Chained Bucket Hash produces (its
+chains are LIFO), so results are bit-identical.  The serial batch
+engine, the morsel coordinator and the morsel workers all run these
+two functions.
 
-The hash kernels take their keys as a list parallel to the rows,
-computed by the caller once per batch — a column read through
-``Relation.reader`` (:func:`repro.query.vectorized.deref.raw_row_extractor`)
-— the same shape the morsel workers' ``build_groups`` / ``probe_groups``
-take.
+The kernels take their keys as a list parallel to the rows, computed
+by the caller once per batch — a column read through
+``Relation.reader`` (:func:`repro.query.vectorized.deref.batch_key`).
 
 Counting: the kernel charges what it actually does — one hash per
-build/probe row, one move per build insert and per emitted pair, one
-allocation per partition header — and the caller charges the key
-extractions in bulk.  That is strictly *less*
-than the tuple engine's chained-hash totals, which additionally pay
-chain traversals, chain comparisons and per-chain-node key
-re-extractions; differential tests assert the elementwise bound.  Hash
-equi-joins are therefore the one path *outside* the counter-equivalence
-contract (DESIGN.md §3.8) — by design, since eliminating re-extractions
-is the point.
-
-The sort kernels reuse the paper's instrumented quicksort unchanged;
-supplying dereference-cached key extractors makes the key cache the
-optimisation (physical derefs drop from O(n log n) to O(n)) while
-comparison/move/traversal totals stay identical.
+build/probe row, one move per build insert and per emitted pair — and
+the caller charges the key extractions in bulk and the table header
+once (:func:`charge_table_header`).  That is strictly *less* than the
+tuple engine's chained-hash totals, which additionally pay chain
+traversals, chain comparisons and per-chain-node key re-extractions;
+differential tests assert the elementwise bound.  Hash equi-joins are
+therefore the one path *outside* the counter-equivalence contract
+(DESIGN.md §3.8) — by design, since eliminating re-extractions is the
+point.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.instrument import (
     count_alloc,
@@ -40,71 +34,53 @@ from repro.instrument import (
     count_move,
     count_traverse,
 )
-from repro.query.sort import quicksort
 
-KeyOf = Callable[[Any], Any]
-
-#: Build-side partitions (power of two; the paper-scale inners this
-#: engine sees make a deeper partitioning pointless).
-DEFAULT_PARTITIONS = 8
-
-
-class PartitionedHashTable:
-    """A build-side hash table split across ``n_partitions`` dicts."""
-
-    __slots__ = ("partitions", "mask", "size")
-
-    def __init__(self, n_partitions: int = DEFAULT_PARTITIONS) -> None:
-        if n_partitions < 1 or n_partitions & (n_partitions - 1):
-            raise ValueError("n_partitions must be a power of two")
-        self.partitions: List[dict] = [dict() for _ in range(n_partitions)]
-        self.mask = n_partitions - 1
-        self.size = 0
-        count_alloc(n_partitions)
+#: Ceiling of the modelled table header (see :func:`charge_table_header`).
+HEADER_PARTITIONS = 8
 
 
 def _fit_partitions(n_rows: int, ceiling: int) -> int:
-    """Largest power of two <= min(n_rows, ceiling), at least 1.
-
-    Scaling the partition count to the build size (the hybrid-hash
-    move) also keeps the kernel's allocation count bounded by the tuple
-    engine's chained-hash build (one node allocation per insert plus
-    the table), preserving the elementwise op-count bound even for tiny
-    inners.
-    """
+    """Largest power of two <= min(n_rows, ceiling), at least 1."""
     fitted = 1
     while fitted * 2 <= min(n_rows, ceiling):
         fitted *= 2
     return fitted
 
 
-def build_hash_table(
-    rows: Sequence[Any],
-    keys: Sequence[Any],
-    n_partitions: int = None,
-) -> PartitionedHashTable:
-    """Build phase: partition the inner input by its parallel join
-    ``keys``."""
-    if n_partitions is None:
-        n_partitions = _fit_partitions(len(rows), DEFAULT_PARTITIONS)
-    table = PartitionedHashTable(n_partitions)
-    partitions = table.partitions
-    mask = table.mask
+def charge_table_header(n_rows: int) -> None:
+    """Charge the build table's header allocation, once per build.
+
+    The modelled cost of a hybrid-hash table split into up to
+    ``HEADER_PARTITIONS`` partitions scaled to the build size, which
+    keeps the kernel's allocations bounded by the tuple engine's
+    chained-hash build even for tiny inners.  The serial engine and the
+    morsel coordinator both call it, so the totals match for any
+    worker count.
+    """
+    count_alloc(_fit_partitions(n_rows, HEADER_PARTITIONS))
+
+
+def build_hash_table(rows: Sequence[Any], keys: Sequence[Any]) -> dict:
+    """Build phase: ``{key: [rows]}``, insertion order preserved.
+
+    Charges one hash and one move per row.  A morsel worker's table is
+    one slice of the whole build; the coordinator extends the groups
+    in morsel order.
+    """
+    table: dict = {}
     for row, key in zip(rows, keys):
-        bucket = partitions[hash(key) & mask]
-        matches = bucket.get(key)
+        matches = table.get(key)
         if matches is None:
-            bucket[key] = [row]
+            table[key] = [row]
         else:
             matches.append(row)
     count_hash(len(rows))
     count_move(len(rows))
-    table.size = len(rows)
     return table
 
 
 def probe_hash_table(
-    table: PartitionedHashTable,
+    table: dict,
     rows: Sequence[Tuple[Any, ...]],
     keys: Sequence[Any],
 ) -> List[Tuple[Any, ...]]:
@@ -114,14 +90,13 @@ def probe_hash_table(
     Emits ``outer_row + inner_row`` concatenations.  Equal-key matches
     come out newest-inserted-first (``reversed``), matching the LIFO
     chains of the tuple engine's Chained Bucket Hash so both engines
-    produce identical row order.
+    produce identical row order.  Charges one hash per probe row and
+    one move per emitted row.
     """
-    partitions = table.partitions
-    mask = table.mask
     out: List[Tuple[Any, ...]] = []
     append = out.append
     for row, key in zip(rows, keys):
-        matches = partitions[hash(key) & mask].get(key)
+        matches = table.get(key)
         if matches is not None:
             for inner_row in reversed(matches):
                 append(row + inner_row)
@@ -163,16 +138,3 @@ def dedup_hash_rows(
     count_traverse(len(rows) * keys_per_row)
     count_move(len(out))
     return out
-
-
-def sort_rows_cached(
-    rows: List[Any], key_of: KeyOf
-) -> List[Any]:
-    """In-place paper quicksort with a (typically cached) key extractor.
-
-    Thin named wrapper so call sites read as "the key-cached sort
-    kernel"; the instrumentation and the permutation are exactly the
-    paper's footnote-6 quicksort.
-    """
-    quicksort(rows, key_of=key_of)
-    return rows

@@ -752,9 +752,9 @@ class SQLInterpreter:
     def _order_by(
         self, result: TemporaryList, column: str, descending: bool
     ) -> TemporaryList:
-        # Delegated to the executor so the batch engine can substitute
-        # its dereference-cached key extractor (same op counts, one
-        # physical deref per row).
+        # Delegated to the executor, whose key hook is the one engine
+        # difference: the batch engine reads the key column once (same
+        # op counts, one physical read per row).
         rows = self.db.executor.sort_rows(result, column)
         if descending:
             rows.reverse()

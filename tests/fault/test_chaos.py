@@ -26,7 +26,6 @@ from repro.obs import runtime as obs_runtime
 from repro.query.parallel import fork_available
 from repro.query.plan import FilterNode, JoinNode, ProjectNode, ScanNode
 from repro.query.predicates import between, ge, gt, le, lt
-from repro.query.vectorized import DEREF_SAVED_COUNTER
 
 #: Seed for the fault plan only — CI sweeps this via the chaos lane.
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1012"))
@@ -141,7 +140,6 @@ def _run_pass(chaos: bool):
             for plan in _plan_mix():
                 results.append(db.executor.execute(plan).rows())
         counts = counters.snapshot().as_dict()
-        counts.pop(DEREF_SAVED_COUNTER, None)
         report = injector.report() if injector is not None else None
     finally:
         db.configure_execution()

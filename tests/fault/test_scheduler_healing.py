@@ -21,7 +21,7 @@ from repro.obs import runtime as obs_runtime
 from repro.query.parallel import ParallelBatchExecutor, fork_available
 from repro.query.plan import FilterNode, JoinNode, ScanNode
 from repro.query.predicates import gt
-from repro.query.vectorized import DEREF_SAVED_COUNTER, BatchExecutor
+from repro.query.vectorized import BatchExecutor
 
 SEED = 424242
 N_R = 600
@@ -72,7 +72,6 @@ def _run(executor, plan):
     with counters_scope() as counters:
         result = executor.execute(plan)
     counts = counters.snapshot().as_dict()
-    counts.pop(DEREF_SAVED_COUNTER, None)
     return result.rows(), counts
 
 

@@ -105,6 +105,30 @@ class TestWorkerMetrics:
         assert hist.count == workers[pid]["morsels"]
         assert hist.quantile(0.5) is not None
 
+    def test_traced_tasks_build_no_metrics_registry(self, db, monkeypatch):
+        """A traced morsel's worker-local observability carries no
+        metrics registry (nothing reads one), and the coordinator's
+        registry still receives every worker series."""
+        from repro.obs import core
+
+        obs = db.configure_observability(ObservabilityConfig())
+        built = []
+
+        class Recording(core.MetricsRegistry):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(core, "MetricsRegistry", Recording)
+        registry = obs.metrics
+        db.sql("SELECT id FROM t WHERE v = 3")
+        assert built == []
+        assert obs.metrics is registry
+        morsels = db.scheduler_stats()["morsels"]
+        assert morsels > 1
+        series = obs.metrics.snapshot()["worker_morsels_total"]
+        assert sum(series.values()) == morsels
+
     def test_report_includes_worker_section(self, db):
         db.configure_observability(ObservabilityConfig())
         db.sql("SELECT id FROM t WHERE v = 3")

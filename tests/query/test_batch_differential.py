@@ -31,7 +31,7 @@ from repro.query.plan import (
     ScanNode,
 )
 from repro.query.predicates import between, eq, ge, gt, le, lt, ne
-from repro.query.vectorized import DEREF_SAVED_COUNTER, BatchExecutor
+from repro.query.vectorized import BatchExecutor
 
 SEED = 52486
 N_R = 400
@@ -67,6 +67,20 @@ def db():
         )
     for i in range(N_S):
         database.insert("S", [i, rng.randrange(VALUE_SPACE)])
+    # N.Name: a heap (STR) column with duplicates, for sort and join keys.
+    database.create_relation(
+        "N",
+        [
+            Field("Id", FieldType.INT),
+            Field("A", FieldType.INT),
+            Field("Name", FieldType.STR),
+        ],
+        primary_key="Id",
+    )
+    for i in range(N_S):
+        database.insert(
+            "N", [i, (i * 11) % VALUE_SPACE, f"n{i * 7 % 23:02d}"]
+        )
     return database
 
 
@@ -134,8 +148,49 @@ def _plan_mix():
             "A",
             "sort_merge",
         ),
+        # -- key positions: tree inequality, sort-scan, STR keys -------
+        JoinNode(ScanNode("R"), ScanNode("S"), "A", "A", "tree", op="<"),
+        JoinNode(ScanNode("R"), ScanNode("S"), "B", "A", "tree", op=">="),
+        ProjectNode(
+            ScanNode("R"),
+            ("A", "B"),
+            deduplicate=True,
+            dedup_method="sort_scan",
+        ),
+        ProjectNode(
+            ScanNode("N"),
+            ("Name",),
+            deduplicate=True,
+            dedup_method="sort_scan",
+        ),
+        JoinNode(
+            ScanNode("N", lt("A", hi)),
+            ScanNode("N", ge("A", lo)),
+            "Name",
+            "Name",
+            "sort_merge",
+        ),
+        JoinNode(
+            ScanNode("N", lt("A", lo)),
+            ScanNode("N", gt("A", hi)),
+            "Name",
+            "Name",
+            "nested_loops",
+            op="<",
+        ),
     ]
     return plans
+
+
+#: ORDER BY inputs: (plan, sort column) — INT and STR keys, with
+#: duplicates, over a scan, a filter and a join.
+_SORTS = [
+    (ScanNode("R"), "A"),
+    (ScanNode("R", gt("B", 300)), "B"),
+    (ScanNode("N"), "Name"),
+    (JoinNode(ScanNode("R"), ScanNode("S"), "A", "A", "hash"), "R.A"),
+    (JoinNode(ScanNode("R"), ScanNode("N"), "A", "A", "hash"), "Name"),
+]
 
 
 def _uses_hash_kernel(plan) -> bool:
@@ -187,13 +242,55 @@ def _assert_differential(db, plan, executor=None):
     else:
         t = tuple_counts.as_dict()
         b = batch_counts.as_dict()
-        b.pop(DEREF_SAVED_COUNTER, None)
         assert t == b, plan.explain()
 
 
 @pytest.mark.parametrize("plan", _plan_mix(), ids=lambda p: p.explain())
 def test_plan_differential(db, plan):
     _assert_differential(db, plan)
+
+
+@pytest.mark.parametrize(
+    "plan,column", _SORTS, ids=[f"{p.explain()} BY {c}" for p, c in _SORTS]
+)
+def test_sort_differential(db, plan, column):
+    """ORDER BY: both engines sort to the same rows at the same counts,
+    extra map included."""
+    runs = []
+    for executor in (Executor(db.catalog), BatchExecutor(db.catalog)):
+        result = executor.execute(plan)
+        with counters_scope() as counters:
+            rows = executor.sort_rows(result, column)
+        runs.append((rows, counters.snapshot().as_dict()))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["comparisons"] > 0
+
+
+def test_batch_sort_reads_key_column_once(db, monkeypatch):
+    """A batch sort reads its key column once per operator input: the
+    quicksort's repeated key extractions are positions into one read."""
+    calls = []
+    for relation_name, field in (("R", "A"), ("N", "Name")):
+        read = db.catalog.relation(relation_name).reader(field)
+        column = read.column
+
+        def logged(refs, column=column, tag=(relation_name, field)):
+            calls.append((tag, len(refs)))
+            return column(refs)
+
+        monkeypatch.setattr(read, "column", logged)
+    executor = BatchExecutor(db.catalog)
+    for plan, name, tag in (
+        (ScanNode("R"), "A", ("R", "A")),
+        (ScanNode("N"), "Name", ("N", "Name")),
+    ):
+        result = executor.execute(plan)
+        del calls[:]
+        with counters_scope() as counters:
+            executor.sort_rows(result, name)
+        assert calls == [(tag, len(result))]
+        # ...while every extraction is still charged as a traversal.
+        assert counters.snapshot().traversals > len(result)
 
 
 @pytest.mark.parametrize("morsel_size", [1, 7, 64, 1024])
@@ -269,8 +366,8 @@ def test_same_answer_whatever_is_attached(db, workers):
 
 
 def test_failed_join_releases_cached_keys():
-    """A non-hash join that raises leaves no cached key extractor (each
-    holds a memo of every row) behind on the executor."""
+    """A non-hash join whose keys cannot be compared raises, on every
+    run and on both engines."""
     database = MainMemoryDatabase()
     for name in ("R", "S"):
         database.create_relation(
@@ -281,13 +378,13 @@ def test_failed_join_releases_cached_keys():
     for i in range(5):
         database.insert("R", [i, None if i == 2 else i])
         database.insert("S", [i, i])
-    database.configure_execution(engine="batch")
     query = "SELECT R.Id FROM R JOIN S ON R.A = S.A USING sort_merge"
-    for _ in range(3):
-        # NULL join keys are not comparable; both engines raise.
-        with pytest.raises(TypeError):
-            database.sql(query)
-        assert database.executor._live_keys == []
+    for engine in ("tuple", "batch"):
+        database.configure_execution(engine=engine)
+        for _ in range(3):
+            # NULL join keys are not comparable; both engines raise.
+            with pytest.raises(TypeError):
+                database.sql(query)
 
 
 def test_self_ref_join_key(db):
@@ -296,14 +393,6 @@ def test_self_ref_join_key(db):
         ScanNode("R"), ScanNode("R"), REF_COLUMN, REF_COLUMN, "hash"
     )
     _assert_differential(db, plan)
-
-
-def test_deref_savings_reported(db):
-    """Sort-merge join keys, re-extracted by the quicksort, report saved
-    physical dereferences."""
-    plan = JoinNode(ScanNode("R"), ScanNode("S"), "A", "A", "sort_merge")
-    _, counts = _run(BatchExecutor(db.catalog), plan)
-    assert counts.extra.get(DEREF_SAVED_COUNTER, 0) > 0
 
 
 def test_database_level_switch(db):

@@ -3,10 +3,8 @@
 The morsel-driven executor's core contract (DESIGN.md section 3.9) is
 that worker count is *unobservable* in results and in the Section 3.1
 counter totals: for every plan, workers ∈ {1, 2, 4} must produce
-identical rows in identical order and identical merged counters on the
-five base counters.  Only the ``deref_saved_traversals`` extra may
-differ (per-morsel memos cannot span morsel boundaries), so it is
-popped before comparing.
+identical rows in identical order and identical merged counters: the
+five base counters and the extra map.
 
 ``workers=1`` must not construct a parallel executor at all — it *is*
 the scalar ``BatchExecutor`` code path.
@@ -27,7 +25,7 @@ from repro.query.plan import (
     ScanNode,
 )
 from repro.query.predicates import between, eq, ge, gt, le, lt, ne
-from repro.query.vectorized import DEREF_SAVED_COUNTER, BatchExecutor
+from repro.query.vectorized import BatchExecutor
 
 SEED = 19860528
 N_R = 900
@@ -123,7 +121,6 @@ def _run(executor, plan):
     with counters_scope() as counters:
         result = executor.execute(plan)
     counts = counters.snapshot().as_dict()
-    counts.pop(DEREF_SAVED_COUNTER, None)
     return result, counts
 
 
@@ -241,7 +238,6 @@ def test_sql_differential_across_workers(db):
         with counters_scope() as base_scope:
             base_rows = db.sql(query).to_dicts()
         base = base_scope.snapshot().as_dict()
-        base.pop(DEREF_SAVED_COUNTER, None)
         for workers in WORKER_COUNTS:
             db.configure_execution(
                 engine="batch",
@@ -252,7 +248,6 @@ def test_sql_differential_across_workers(db):
             with counters_scope() as scope:
                 rows = db.sql(query).to_dicts()
             counts = scope.snapshot().as_dict()
-            counts.pop(DEREF_SAVED_COUNTER, None)
             assert rows == base_rows, workers
             assert counts == base, workers
     finally:

@@ -30,7 +30,7 @@ from repro.query.parallel import ParallelBatchExecutor, shm
 from repro.query.parallel.transport import encode_rows, slice_packed
 from repro.query.plan import FilterNode, JoinNode, ProjectNode, ScanNode
 from repro.query.predicates import gt, lt
-from repro.query.vectorized import DEREF_SAVED_COUNTER, BatchExecutor
+from repro.query.vectorized import BatchExecutor
 
 SEED = 19860528
 N_R = 900
@@ -90,7 +90,6 @@ def _run(executor, plan):
     with counters_scope() as counters:
         result = executor.execute(plan)
     counts = counters.snapshot().as_dict()
-    counts.pop(DEREF_SAVED_COUNTER, None)
     return result.rows(), counts
 
 

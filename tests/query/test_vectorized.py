@@ -6,16 +6,10 @@ from repro import Field, FieldType, MainMemoryDatabase
 from repro.instrument import counters_scope
 from repro.query.plan import ScanNode
 from repro.query.predicates import between, gt, lt
-from repro.query.vectorized import (
-    DEREF_SAVED_COUNTER,
-    BatchExecutor,
-    ExecutionConfig,
-    row_extractor,
-)
+from repro.query.vectorized import BatchExecutor, ExecutionConfig
 from repro.query.vectorized.compile import compile_predicate
 from repro.query.vectorized.deref import RowFieldAccess, ScanFieldAccess
 from repro.query.vectorized.kernels import (
-    PartitionedHashTable,
     _fit_partitions,
     build_hash_table,
     dedup_hash_rows,
@@ -81,37 +75,6 @@ class TestConfigureExecution:
         assert type(executor) is BatchExecutor
 
 
-def _scan_rows(database):
-    result = database.executor.execute(ScanNode("T"))
-    return result.descriptor, result.rows()
-
-
-class TestDerefCache:
-    def test_hit_skips_physical_work_and_tallies(self, db):
-        descriptor, rows = _scan_rows(db)
-        extract = row_extractor(descriptor, "V")
-        with counters_scope() as counters:
-            first = [extract(row) for row in rows]
-            second = [extract(row) for row in rows]
-            extract.flush()
-        assert first == second
-        snap = counters.snapshot()
-        # One logical traversal per call either way...
-        assert snap.traversals == 2 * len(rows)
-        # ...but the second pass was served from the memo.
-        assert snap.extra[DEREF_SAVED_COUNTER] == len(rows)
-
-    def test_flush_is_idempotent(self, db):
-        descriptor, rows = _scan_rows(db)
-        extract = row_extractor(descriptor, "V")
-        with counters_scope() as counters:
-            extract(rows[0])
-            extract(rows[0])
-            extract.flush()
-            extract.flush()
-        assert counters.snapshot().extra[DEREF_SAVED_COUNTER] == 1
-
-
 class TestCompiledPredicates:
     def test_scan_mask_counts_no_traversals(self, db):
         relation, refs = _refs(db)
@@ -162,10 +125,6 @@ class TestCompiledPredicates:
 
 
 class TestKernels:
-    def test_partition_count_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            PartitionedHashTable(3)
-
     def test_fit_partitions(self):
         assert _fit_partitions(0, 8) == 1
         assert _fit_partitions(1, 8) == 1

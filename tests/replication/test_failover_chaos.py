@@ -32,7 +32,6 @@ from repro.obs import runtime as obs_runtime
 from repro.query.parallel import fork_available
 from repro.query.plan import FilterNode, JoinNode, ProjectNode, ScanNode
 from repro.query.predicates import between, ge, gt, le, lt
-from repro.query.vectorized import DEREF_SAVED_COUNTER
 
 #: Seed for the fault plan only — CI sweeps this via the chaos lane.
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1012"))
@@ -166,7 +165,6 @@ def _run_pass(chaos: bool):
             for plan in plans[:5]:
                 results.append(db.executor.execute(plan).rows())
         first = counters.snapshot().as_dict()
-        first.pop(DEREF_SAVED_COUNTER, None)
         # The primary dies mid-workload.  The baseline restarts from
         # the disk copy; the chaos pass fails over to the replica.
         db.crash()
@@ -178,7 +176,6 @@ def _run_pass(chaos: bool):
             for plan in plans[5:]:
                 results.append(db.executor.execute(plan).rows())
         second = counters.snapshot().as_dict()
-        second.pop(DEREF_SAVED_COUNTER, None)
         report = injector.report() if injector is not None else None
     finally:
         db.configure_execution()
