@@ -1,6 +1,6 @@
 """Interleaved parent-vs-change runs of the end-to-end benchmark.
 
-    python3 benchmarks/ab.py --parent /root/scratch/parent --change . \\
+    python3 benchmarks/ab.py --parent ../parent --change . \\
         --workload query_mix_par --seconds 12 --pairs 10
 
 runs ``benchmarks/e2e/run.py --trace 0`` once per side per pair, each in
@@ -17,9 +17,14 @@ prints both medians, both quartile ranges and the pairs the change won
 * ``unresolved`` — neither, but one side's quartile range is wider
   than that bound, so "no change" cannot be read off these runs.
 
+Before the first pair it prints each side's resolved path and whether
+it holds a ``.git`` directory, and warns when the two differ in path
+length or in ``.git``: either moves ``peak_rss_mb`` by about 1% with no
+code change (62.67 vs 63.51 MB on one 2-core VM), so such a pair of
+checkouts cannot judge a small memory difference.
+
 Exit status is 1 when any run failed a correctness check or any metric
-is ``WORSE``.  This is the tool a performance claim is judged with; the
-driver's acceptance rule is the same one.
+is ``WORSE``.  This is the tool a performance claim is judged with.
 """
 
 from __future__ import annotations
@@ -66,6 +71,29 @@ def quartiles(values: List[float]) -> Tuple[float, float, float]:
     return q1, q2, q3
 
 
+def describe_checkouts(sides: Dict[str, Path]) -> List[str]:
+    """One line per side (resolved path, ``.git`` or not), then a
+    warning for each way the two checkouts differ besides their code."""
+    has_git = {side: (path / ".git").exists() for side, path in sides.items()}
+    lines = [
+        f"{side}: {path} ({'.git' if has_git[side] else 'no .git'})"
+        for side, path in sides.items()
+    ]
+    parent, change = sides["parent"], sides["change"]
+    if len(str(parent)) != len(str(change)):
+        lines.append(
+            f"warning: path lengths differ ({len(str(parent))} vs "
+            f"{len(str(change))} characters); peak_rss_mb moves ~1% "
+            "with no code change"
+        )
+    if has_git["parent"] != has_git["change"]:
+        lines.append(
+            "warning: only one side holds .git; peak_rss_mb moves ~1% "
+            "with no code change"
+        )
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
@@ -89,6 +117,8 @@ def main() -> int:
         for side in sides
     }
     failed = {side: 0 for side in sides}
+    for line in describe_checkouts(sides):
+        print(line, flush=True)
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:

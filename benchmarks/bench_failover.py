@@ -69,7 +69,7 @@ def _ship_overhead(count: int) -> float:
     plain_seconds = time.perf_counter() - started
 
     replicated = _build_db()
-    replicated.configure_replication(channel="inline")
+    replicated.configure_replication()
     started = time.perf_counter()
     _insert_suffix(replicated, count)
     replicated.propagate_log()
@@ -82,7 +82,7 @@ def _ship_overhead(count: int) -> float:
 def _failover(count: int):
     """Promote after a ``count``-record suffix; returns (stats, shipper)."""
     db = _build_db()
-    db.configure_replication(channel="inline")
+    db.configure_replication()
     _insert_suffix(db, count)
     db.crash()
     promotion = db.demote(reason="benchmark")
@@ -96,7 +96,7 @@ def _failover(count: int):
 def _heal(count: int):
     """Quarantine one partition, heal it from the replica; the stats."""
     db = _build_db()
-    db.configure_replication(channel="inline")
+    db.configure_replication()
     _insert_suffix(db, count)
     disk = db.recovery.disk
     framed = bytearray(disk._images[("R", 0)])

@@ -130,17 +130,23 @@ class MainMemoryDatabase:
         env_obs = os.environ.get("REPRO_OBS")
         if env_obs and env_obs not in ("0", "false", "off"):
             self.configure_observability()
-        # Replication hook: REPRO_REPLICATION selects a channel mode
-        # ("inline" / "process", optionally ":shm" for the transport)
-        # for every *durable* database in the process — the failover CI
-        # lane runs the suite replicated this way.  Explicit
+        # Replication hook: REPRO_REPLICATION=1 attaches a warm replica
+        # to every *durable* database in the process — the replication
+        # CI lane runs the suite replicated this way.  Any other value
+        # but off (unset, 0, false, off) is refused, so a lane still
+        # naming a retired mode fails loudly.  Explicit
         # configure_replication calls still override.
         env_repl = os.environ.get("REPRO_REPLICATION")
-        if env_repl and durable and env_repl not in ("0", "false", "off"):
-            mode, __, transport = env_repl.partition(":")
-            self.configure_replication(
-                channel=mode, transport=transport or None
-            )
+        if env_repl and env_repl not in ("0", "false", "off"):
+            if env_repl != "1":
+                from repro.errors import ConfigError
+
+                raise ConfigError(
+                    f"REPRO_REPLICATION={env_repl!r}: use 1 (on) or "
+                    "0 (off)"
+                )
+            if durable:
+                self.configure_replication()
         # The transaction id used for log records when no transaction is
         # active (each autocommit op commits immediately).
         self._autocommit_lock = threading.Lock()
@@ -379,61 +385,33 @@ class MainMemoryDatabase:
         *,
         seed: int = None,
         policies: Sequence[Any] = None,
-        spec: str = None,
-        backoff=None,
     ):
         """Install (or remove) the deterministic fault injector.
 
         ``config`` is a :class:`~repro.fault.FaultConfig`; alternatively
         pass ``seed`` plus a ``policies`` sequence of
-        :class:`~repro.fault.FaultPolicy`, or a ``spec`` string in the
-        fault spec syntax (:func:`~repro.fault.parse_fault_spec`).  The
-        injector is activated *process-wide* — fault hooks consult a module-level slot, the
+        :class:`~repro.fault.FaultPolicy`.  The injector is activated
+        *process-wide* — fault hooks consult a module-level slot, the
         same contract as the observability hooks, so when disabled every
         hook is a single global load.  Called with nothing (or with a
         config carrying no policies), it deactivates fault injection
         entirely and restores the zero-overhead no-op hooks.
 
-        ``backoff`` (a :class:`~repro.fault.BackoffPolicy`, or the
-        ``backoff:`` clause of a spec) installs the shared retry
-        schedule the recovery manager sleeps between transient-read
-        retries; disabling faults resets it to immediate retries.
-
         Returns the installed
         :class:`~repro.fault.FaultInjector` (or None when disabling).
         """
         from repro.errors import ConfigError
-        from repro.fault import FaultConfig, FaultInjector, parse_fault_spec
-        from repro.fault import NO_BACKOFF
+        from repro.fault import FaultConfig, FaultInjector
         from repro.fault import runtime as fault_runtime
 
-        given = [
-            value
-            for value in (seed, policies, spec, backoff)
-            if value is not None
-        ]
-        if config is not None and given:
+        if config is not None and (seed is not None or policies is not None):
             raise ConfigError(
                 "pass either a FaultConfig or keyword fields, not both"
             )
         if config is None:
-            if spec is not None:
-                if seed is not None or policies is not None:
-                    raise ConfigError(
-                        "pass either spec or seed/policies, not both"
-                    )
-                config = parse_fault_spec(spec)
-            else:
-                config = FaultConfig(
-                    seed=seed if seed is not None else 0,
-                    policies=tuple(policies) if policies else (),
-                    backoff=backoff,
-                )
-        # The shared retry schedule applies even when no fault policy
-        # does (a backoff-only configuration is legitimate tuning).
-        if self.recovery is not None:
-            self.recovery.backoff = (
-                config.backoff if config.backoff is not None else NO_BACKOFF
+            config = FaultConfig(
+                seed=seed if seed is not None else 0,
+                policies=tuple(policies) if policies else (),
             )
         if not config.enabled:
             if self.fault_injector is not None and (
@@ -454,8 +432,6 @@ class MainMemoryDatabase:
         self,
         config=None,
         *,
-        channel: str = None,
-        transport: str = None,
         max_lag_records: int = None,
         batch_records: int = None,
         retry_attempts: int = None,
@@ -468,9 +444,9 @@ class MainMemoryDatabase:
         disk copy plus the accumulation log's unpropagated suffix, then
         stays current: every record the log device absorbs also ships,
         in checksummed batches, with retries on every hop.  On
-        primary failure, :meth:`demote` (or observed worker kills via
-        :meth:`check_failover`) promotes the replica.  A partition quarantined by ``recover(partial=True)``
-        heals online from the replica via :meth:`heal_partitions`.
+        primary failure, :meth:`demote` promotes the replica.  A
+        partition quarantined by ``recover(partial=True)`` heals online
+        from the replica via :meth:`heal_partitions`.
 
         Reconfiguring replaces the existing replica.  Returns the
         :class:`~repro.replication.FailoverCoordinator`.
@@ -480,8 +456,6 @@ class MainMemoryDatabase:
 
         self._require_durable()
         keyword_fields = {
-            "channel": channel,
-            "transport": transport,
             "max_lag_records": max_lag_records,
             "batch_records": batch_records,
             "retry_attempts": retry_attempts,
@@ -529,14 +503,6 @@ class MainMemoryDatabase:
         re-fetched from the replica and swapped in.  Returns
         :class:`~repro.replication.HealStats`."""
         return self._require_replication().heal_quarantined()
-
-    def check_failover(self) -> bool:
-        """Run the failure detector; True when this call promoted.
-
-        Consults the fault injector's record of killed workers (the
-        chaos lane's kill-primary signal).
-        """
-        return self._require_replication().maybe_promote_on_faults()
 
     def replication_state(self) -> Optional[Dict[str, Any]]:
         """Shipper/replica/coordinator state, or None when off."""

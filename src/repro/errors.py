@@ -165,10 +165,6 @@ class ReplicationEpochError(ReplicationError):
     """
 
 
-class ReplicaUnavailableError(ReplicationError):
-    """No replica is configured, or its channel is down."""
-
-
 class InjectedFaultError(ReproError):
     """A fault deliberately raised by the fault-injection subsystem.
 

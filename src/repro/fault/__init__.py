@@ -6,15 +6,15 @@ The subsystem has three parts:
   decision engine over the named fault points of :data:`FAULT_POINTS`,
   with per-point :class:`FaultPolicy` entries (probability, every-Nth,
   one-shot, bounded fires, latency);
-* :mod:`~repro.fault.config` — :class:`FaultConfig` and the
-  one-line fault spec parser;
+* :mod:`~repro.fault.config` — :class:`FaultConfig`, the seed plus
+  the policy set;
 * :mod:`~repro.fault.runtime` — the process-wide active-injector slot
   the engine's hooks consult.  When no injector is active every hook is
   a single global load returning None (the same zero-overhead contract
   as the observability hooks).
 
-Activate via ``db.configure_faults(seed=..., policies=[...])`` or
-``db.configure_faults(spec=...)``; faults then surface as typed
+Activate via ``db.configure_faults(seed=..., policies=[...])`` (or a
+:class:`FaultConfig`); faults then surface as typed
 errors (:class:`~repro.errors.InjectedFaultError`,
 :class:`~repro.errors.CorruptImageError`,
 :class:`~repro.errors.TornWriteError`) or as degraded-path behaviour
@@ -22,8 +22,7 @@ errors (:class:`~repro.errors.InjectedFaultError`,
 self-healing machinery must absorb.
 """
 
-from repro.fault.backoff import NO_BACKOFF, BackoffPolicy
-from repro.fault.config import FaultConfig, parse_fault_spec
+from repro.fault.config import FaultConfig
 from repro.fault.injector import (
     FAULT_POINTS,
     FaultEvent,
@@ -33,11 +32,8 @@ from repro.fault.injector import (
 
 __all__ = [
     "FAULT_POINTS",
-    "BackoffPolicy",
     "FaultConfig",
     "FaultEvent",
     "FaultInjector",
     "FaultPolicy",
-    "NO_BACKOFF",
-    "parse_fault_spec",
 ]

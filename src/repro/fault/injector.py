@@ -58,7 +58,7 @@ FAULT_POINTS: Dict[str, Tuple[str, ...]] = {
     "checkpoint.partition": ("error", "latency"),
     # LogShipper, per shipped batch (promotion's suffix replay included):
     # error (the hop fails; the batch stays in the outbox and retries
-    # with backoff) | corrupt (flip a byte in the framed batch — the
+    # at once) | corrupt (flip a byte in the framed batch — the
     # replica's unframe rejects it whole, proving the checksummed wire)
     # | latency.
     "repl.ship": ("error", "corrupt", "latency"),

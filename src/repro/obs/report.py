@@ -152,7 +152,6 @@ def render_report(
             shipper = replication.get("shipper") or {}
             lines.append(
                 f"  replication: state={replication.get('state', '-')} "
-                f"channel={replication.get('channel', '-')} "
                 f"lag_records={shipper.get('lag_records', 0)} "
                 f"epoch={shipper.get('epoch', '-')} "
                 f"failovers={replication.get('failovers', 0)} "

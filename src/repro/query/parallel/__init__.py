@@ -17,8 +17,9 @@ that totals are identical regardless of worker count:
   :class:`ParallelBatchExecutor`, the ``workers > 1`` executor behind
   ``db.configure_execution(engine="batch", workers=N)``.
 
-:mod:`~repro.query.parallel.shm` is not part of the morsel path: it is
-the shared-memory byte carrier the replication channels use.
+:mod:`~repro.query.parallel.shm` is not part of the morsel path, and
+no engine path calls it: it stays only because the end-to-end tracer
+(``benchmarks/e2e/trace.py``) wraps its functions by name.
 """
 
 from repro.query.parallel.engine import ParallelBatchExecutor

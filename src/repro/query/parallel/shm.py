@@ -2,11 +2,12 @@
 
 A byte blob is copied into a named ``multiprocessing.shared_memory``
 segment and only a tiny descriptor tuple — segment name and byte
-count — crosses a pipe.  The replication channels use it to move large
-apply batches to the replica (``configure_replication(transport=
-"shm")``, see :mod:`repro.replication.channel`).  :func:`write_rows` /
-:func:`read_rows` carry a packed morsel (``(row_width, int64 bytes)``,
-see :mod:`~repro.query.parallel.transport`) the same way.
+count — crosses a pipe.  :func:`write_rows` / :func:`read_rows` carry
+a packed morsel (``(row_width, int64 bytes)``, see
+:mod:`~repro.query.parallel.transport`) the same way.  No engine path
+calls this module; it stays only because the end-to-end tracer
+(``benchmarks/e2e/trace.py``) wraps ``write_rows``, ``read_rows`` and
+``write_blob`` by name.
 
 Writing and reading are pure transport: they charge no Section 3.1
 counters, and the bytes read are the bytes written.

@@ -33,7 +33,6 @@ from repro.errors import (
     RecoveryError,
 )
 from repro.fault import runtime as fault_runtime
-from repro.fault.backoff import NO_BACKOFF, BackoffPolicy
 from repro.obs import runtime as obs_runtime
 from repro.recovery.disk import SimulatedDisk
 from repro.recovery.log import StableLogBuffer
@@ -88,7 +87,6 @@ class RecoveryManager:
         disk: SimulatedDisk = None,
         stable_log: StableLogBuffer = None,
         read_attempts: int = DEFAULT_READ_ATTEMPTS,
-        backoff: Optional[BackoffPolicy] = None,
     ) -> None:
         self.catalog = catalog
         self.disk = disk if disk is not None else SimulatedDisk()
@@ -97,11 +95,6 @@ class RecoveryManager:
         )
         self.log_device = LogDevice(self.disk, self.stable_log)
         self.read_attempts = max(1, int(read_attempts))
-        #: Slept between transient-read retries.  NO_BACKOFF (the
-        #: default) retries immediately, preserving the historical
-        #: fixed-no-delay behaviour; ``db.configure_faults(backoff=...)``
-        #: installs a shared exponential schedule here.
-        self.backoff = backoff if backoff is not None else NO_BACKOFF
         self._pending_background: List[PartitionKey] = []
         #: Whether the background reload inherits partial semantics.
         self._partial = False
@@ -248,7 +241,6 @@ class RecoveryManager:
                         "recovery_read_retries_total",
                         relation=relation_name,
                     )
-                    self.backoff.sleep(attempt)
         else:
             if not self._partial:
                 raise last_error

@@ -19,16 +19,7 @@ from repro.replication.batch import (
     decode_batch,
     encode_batch,
 )
-from repro.replication.channel import (
-    InlineChannel,
-    ProcessChannel,
-    process_channel_available,
-)
-from repro.replication.config import (
-    CHANNEL_MODES,
-    SHIP_TRANSPORTS,
-    ReplicationConfig,
-)
+from repro.replication.config import ReplicationConfig
 from repro.replication.coordinator import (
     FailoverCoordinator,
     HealStats,
@@ -38,13 +29,9 @@ from repro.replication.replica import ReplicaApplier
 from repro.replication.shipper import LogShipper
 
 __all__ = [
-    "CHANNEL_MODES",
-    "SHIP_TRANSPORTS",
     "FailoverCoordinator",
     "HealStats",
-    "InlineChannel",
     "LogShipper",
-    "ProcessChannel",
     "PromotionStats",
     "ReplicaApplier",
     "ReplicationConfig",
@@ -52,5 +39,4 @@ __all__ = [
     "corrupt_bytes",
     "decode_batch",
     "encode_batch",
-    "process_channel_available",
 ]

@@ -15,10 +15,12 @@ The :class:`FailoverCoordinator` owns one primary's replication state:
   already reflects the full shipped log — and atomically swapped in,
   repairing the disk copy too, with no full restart.
 
-Promotion triggers two ways: explicitly (``db.demote()``), or by
-observed worker kills (:meth:`maybe_promote_on_faults` scanning the
-injector's ``pool.worker`` events — the chaos lane's kill-primary
-signal).
+The replica lives in-process, the same way
+:class:`~repro.recovery.disk.SimulatedDisk` models the disk: the
+coordinator and the shipper call the :class:`ReplicaApplier` directly.
+Every image and batch still crosses as CRC32-framed bytes, so damage
+on any hop surfaces as a typed error.  Promotion is explicit
+(``db.demote()``).
 """
 
 from __future__ import annotations
@@ -33,10 +35,8 @@ from repro.errors import (
     ReplicationError,
     TornWriteError,
 )
-from repro.fault import runtime as fault_runtime
 from repro.obs import runtime as obs_runtime
 from repro.recovery.framing import frame, unframe
-from repro.replication.channel import InlineChannel, ProcessChannel
 from repro.replication.config import ReplicationConfig
 from repro.replication.replica import ReplicaApplier
 from repro.replication.shipper import LogShipper
@@ -72,7 +72,7 @@ class FailoverCoordinator:
     def __init__(self, db, config: Optional[ReplicationConfig] = None) -> None:
         self.db = db
         self.config = config or ReplicationConfig()
-        self.channel = None
+        self.replica: Optional[ReplicaApplier] = None
         self.shipper: Optional[LogShipper] = None
         self.state = "idle"
         self.failovers = 0
@@ -127,18 +127,14 @@ class FailoverCoordinator:
                 relation.partition_config.heap_capacity,
             )
         self._known_relations = set(configs)
-        images: Dict[PartitionKey, bytes] = {}
-        for key in manager.disk.partition_keys():
-            images[key] = self._read_image(key[0], key[1])
-        bootstrap = {"configs": configs, "epoch": 1, "images": images}
-        use_shm = self.config.transport == "shm"
-        if self.config.channel == "process":
-            self.channel = ProcessChannel(bootstrap, use_shm=use_shm)
-        else:
-            self.channel = InlineChannel(
-                ReplicaApplier.from_bootstrap(bootstrap), use_shm=use_shm
+        self.replica = ReplicaApplier(configs, epoch=1)
+        for relation_name, partition_id in manager.disk.partition_keys():
+            self.replica.load_image(
+                relation_name,
+                partition_id,
+                self._read_image(relation_name, partition_id),
             )
-        self.shipper = LogShipper(self.channel, self.config, epoch=1)
+        self.shipper = LogShipper(self.replica, self.config, epoch=1)
         # The suffix absorbed before the tap was installed still needs
         # shipping: seed it and drain (best effort — establishment must
         # not fail on a flaky first hop; flush() calls catch up later).
@@ -162,39 +158,14 @@ class FailoverCoordinator:
             return
         for relation in self.db.catalog:
             if relation.name not in self._known_relations:
-                self.channel.request(
-                    "register",
+                self.replica.register_relation(
+                    relation.name,
                     (
-                        relation.name,
-                        (
-                            relation.partition_config.slot_capacity,
-                            relation.partition_config.heap_capacity,
-                        ),
+                        relation.partition_config.slot_capacity,
+                        relation.partition_config.heap_capacity,
                     ),
                 )
                 self._known_relations.add(relation.name)
-
-    # ------------------------------------------------------------------ #
-    # failure detection
-    # ------------------------------------------------------------------ #
-
-    def maybe_promote_on_faults(self) -> bool:
-        """Promote when the injector shows the primary's workers dying.
-
-        The chaos lane's kill-primary signal: any ``pool.worker`` kill
-        event recorded by the active injector is treated as the primary
-        failing mid-workload.  True if this call promoted.
-        """
-        if self.state != "active":
-            return False
-        injector = fault_runtime.active()
-        if injector is None:
-            return False
-        for event in injector.events:
-            if event.point == "pool.worker" and event.action == "kill":
-                self.promote(reason="pool.worker kill")
-                return True
-        return False
 
     # ------------------------------------------------------------------ #
     # failover
@@ -224,7 +195,7 @@ class FailoverCoordinator:
         # record before its images become the database.
         replayed = len(self.shipper.outbox)
         self.shipper.flush()
-        snapshot = self.channel.request("snapshot")
+        snapshot = self.replica.snapshot()
         stats = PromotionStats(reason=reason, records_replayed=replayed)
         for relation in self.db.catalog:
             relation._partitions.clear()
@@ -254,7 +225,7 @@ class FailoverCoordinator:
         # pre-promotion epoch now raises ReplicationEpochError.
         new_epoch = self.shipper.epoch + 1
         self.shipper.epoch = new_epoch
-        self.channel.request("set_epoch", new_epoch)
+        self.replica.epoch = new_epoch
         stats.epoch = new_epoch
         # The promoted database is whole: pending background reloads and
         # quarantine reports from any earlier partial restart are moot.
@@ -300,9 +271,7 @@ class FailoverCoordinator:
         quarantined = list(last.quarantined) if last is not None else []
         touched = []
         for (relation_name, partition_id), __ in quarantined:
-            framed = self.channel.request(
-                "image", (relation_name, partition_id)
-            )
+            framed = self.replica.image(relation_name, partition_id)
             payload = unframe(
                 framed,
                 context=f"healed image {relation_name}[{partition_id}]",
@@ -349,29 +318,19 @@ class FailoverCoordinator:
         """One dict for reports: shipper + replica + coordinator state."""
         state: Dict[str, Any] = {
             "state": self.state,
-            "channel": self.config.channel,
-            "transport": self.config.transport,
             "failovers": self.failovers,
             "partition_heals": self.partition_heals,
         }
         if self.shipper is not None:
             state["shipper"] = self.shipper.state()
-        if self.channel is not None and self.state == "active":
-            try:
-                state["replica"] = self.channel.request("state")
-            except ReplicationError as exc:
-                state["replica"] = {"error": str(exc)}
+        if self.replica is not None and self.state == "active":
+            state["replica"] = self.replica.state()
         return state
 
     def close(self) -> None:
-        """Detach the sink and stop the replica."""
+        """Detach the sink: nothing ships after this."""
         if self._sink_installed:
             self.db.recovery.log_device.remove_sink(self._sink)
             self._sink_installed = False
-        if self.channel is not None:
-            try:
-                self.channel.close()
-            except ReplicationError:  # pragma: no cover - teardown race
-                pass
         if self.state != "promoted":
             self.state = "closed"

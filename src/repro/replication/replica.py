@@ -59,14 +59,6 @@ class ReplicaApplier:
         self.batches_applied = 0
         self.batches_rejected = 0
 
-    @classmethod
-    def from_bootstrap(cls, payload: Dict[str, Any]) -> "ReplicaApplier":
-        """Build an applier from a coordinator bootstrap payload."""
-        applier = cls(payload.get("configs"), payload.get("epoch", 1))
-        for key, framed in payload.get("images", {}).items():
-            applier.load_image(key[0], key[1], framed)
-        return applier
-
     # ------------------------------------------------------------------ #
     # bootstrap / registration
     # ------------------------------------------------------------------ #
@@ -168,30 +160,6 @@ class ReplicaApplier:
                 (key, frame(partition.to_bytes()))
                 for key, partition in self.partitions.items()
             ]
-
-    # ------------------------------------------------------------------ #
-    # channel dispatch
-    # ------------------------------------------------------------------ #
-
-    def handle(self, op: str, payload: Any) -> Any:
-        """The channel's request dispatcher."""
-        if op == "apply":
-            return self.apply_batch(payload)
-        if op == "image":
-            return self.image(payload[0], payload[1])
-        if op == "snapshot":
-            return self.snapshot()
-        if op == "register":
-            self.register_relation(payload[0], payload[1])
-            return True
-        if op == "set_epoch":
-            self.epoch = int(payload)
-            return self.epoch
-        if op == "state":
-            return self.state()
-        if op == "ping":
-            return "pong"
-        raise ReplicationError(f"unknown replica op {op!r}")
 
     def state(self) -> Dict[str, Any]:
         """Replica-side counters, for ``db.replication_state()``."""

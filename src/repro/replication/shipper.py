@@ -3,16 +3,17 @@
 A :class:`LogShipper` is registered as a sink on the primary's
 :class:`~repro.recovery.log_device.LogDevice` — every record
 ``absorb()`` moves into the change-accumulation log is also enqueued
-here.  The outbox drains in LSN order as CRC32-framed batches through
-the replication channel, with acknowledged epochs/sequence numbers and
+here.  The outbox drains in LSN order as CRC32-framed batches into
+the :class:`~repro.replication.replica.ReplicaApplier`, with
+acknowledged epochs/sequence numbers and
 a bounded apply-lag watermark: once the outbox exceeds
 ``max_lag_records`` the next enqueue auto-ships (best effort — a
 replica outage must never stall the primary's commit path).
 
 Every shipping hop is fault-aware: the ``repl.ship`` and ``repl.apply``
-points both fire *here*, parent-side, before the channel request — the
-same discipline the morsel scheduler uses for ``pool.worker`` — so the
-seeded RNG stream lives in one process and chaos runs replay exactly.
+points both fire *here*, before the replica applies — the shipper is the
+one place a hop's seeded fault decisions are drawn, so chaos runs replay
+exactly.
 Failed hops retry immediately, up to ``retry_attempts`` times.
 """
 
@@ -29,6 +30,7 @@ from repro.fault import runtime as fault_runtime
 from repro.obs import runtime as obs_runtime
 from repro.replication.batch import ShippedBatch, corrupt_bytes, encode_batch
 from repro.replication.config import ReplicationConfig
+from repro.replication.replica import ReplicaApplier
 
 
 class LogShipper:
@@ -36,11 +38,11 @@ class LogShipper:
 
     def __init__(
         self,
-        channel,
+        replica: ReplicaApplier,
         config: Optional[ReplicationConfig] = None,
         epoch: int = 1,
     ) -> None:
-        self.channel = channel
+        self.replica = replica
         self.config = config or ReplicationConfig()
         self.epoch = int(epoch)
         #: Unacknowledged records, LSN order (the apply lag).
@@ -110,7 +112,7 @@ class LogShipper:
         return shipped
 
     def _ship_one(self, records, best_effort: bool) -> bool:
-        """One batch through the channel, with retries; True on ack."""
+        """One batch to the replica, with retries; True on ack."""
         self.seq += 1
         batch = ShippedBatch(
             epoch=self.epoch, seq=self.seq, records=tuple(records)
@@ -123,18 +125,14 @@ class LogShipper:
             wire = data
             try:
                 # Both replication fault points draw their seeded
-                # decisions here, parent-side, never in the replica.
+                # decisions here, never in the replica.
                 action = fault_runtime.fire(
                     "repl.ship", seq=batch.seq, records=len(records)
                 )
                 if action == "corrupt":
                     wire = corrupt_bytes(data)
                 fault_runtime.fire("repl.apply", seq=batch.seq)
-                ack = self.channel.request("apply", wire)
-            except InjectedFaultError as exc:
-                self.ship_errors += 1
-                last_error = exc
-                continue
+                ack = self.replica.apply_batch(wire)
             except CorruptBatchError as exc:
                 # The replica rejected the frame whole — nothing
                 # applied; re-encode is pointless (the corruption was
@@ -143,27 +141,21 @@ class LogShipper:
                 self.ship_errors += 1
                 last_error = exc
                 continue
-            except ReplicationError as exc:
+            except (InjectedFaultError, ReplicationError) as exc:
                 self.ship_errors += 1
                 last_error = exc
                 continue
             self.batches_shipped += 1
             self.records_shipped += len(records)
-            self._observe_ack(ack)
+            self.epoch = max(self.epoch, ack["epoch"])
             return True
         if best_effort:
             return False
-        if last_error is not None:
-            raise last_error
-        return False
+        raise last_error
 
     # ------------------------------------------------------------------ #
     # observability
     # ------------------------------------------------------------------ #
-
-    def _observe_ack(self, ack) -> None:
-        if isinstance(ack, dict):
-            self.epoch = max(self.epoch, ack.get("epoch", self.epoch))
 
     def _publish_lag(self) -> None:
         obs = obs_runtime.active()

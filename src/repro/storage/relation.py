@@ -520,6 +520,13 @@ class Relation:
         the relation's indexes hold canonical pointers (what a rebuild
         from ``_all_refs`` gives, and what :meth:`delete` and this
         method look entries up by), so a relocation re-points every one.
+
+        A write a unique index refuses is undone before the error
+        propagates: the old value and every index entry come back.  The
+        ``update`` record is emitted only once the re-index has
+        succeeded, so replaying the log rebuilds the old value too: an
+        in-place write that is refused logs nothing, and a relocation,
+        which logs its moved row at once, also logs the restore.
         """
         position = self.physical_schema.position(field_name)
         field_def = self.physical_schema.fields[position]
@@ -531,34 +538,81 @@ class Relation:
             for idx in self._indexes.values()
             if _index_covers(idx, field_name)
         ]
-        canonical = moved_to = self.resolve(ref)
+        canonical = self.resolve(ref)
         for idx in affected:
             idx.delete(canonical)
+        part, slot = self._locate(ref)
+        # Only an index on the field can refuse the write and need the
+        # old value back.
+        old_value = part.read_field(slot, position) if affected else None
         try:
-            part, slot = self._locate(ref)
-            try:
-                part.update_field(slot, position, value)
-                self._emit(
-                    {
-                        "kind": "update",
-                        "relation": self.name,
-                        "partition": part.id,
-                        "slot": slot,
-                        "position": position,
-                        "value": value,
-                    }
-                )
-            except HeapOverflowError:
-                self._relocate(part, slot, position, value)
-                moved_to = self.resolve(canonical)
-        finally:
+            moved = self._write_field(part, slot, position, value)
+        except Exception:
+            for idx in affected:
+                idx.insert(canonical)
+            raise
+        moved_to = canonical if moved is None else moved
+        maintained: List[Index] = []
+        try:
             for idx in affected:
                 idx.insert(moved_to)
-        if moved_to != canonical:
-            for idx in self._indexes.values():
-                if idx not in affected:
-                    idx.delete(canonical)
-                    idx.insert(moved_to)
+                maintained.append(idx)
+        except Exception:
+            # A unique index refused the new key: take the tuple out of
+            # the indexes that took it, write the old value back, and
+            # re-index it as it was.  Only a relocation logged the new
+            # value, so only then is the restore logged.
+            for idx in maintained:
+                idx.delete(moved_to)
+            part, slot = self._locate(moved_to)
+            restored = self._write_field(part, slot, position, old_value)
+            if restored is None:
+                if moved is not None:
+                    self._log_update(part, slot, position, old_value)
+                restored = moved_to
+            for idx in affected:
+                idx.insert(restored)
+            self._repoint(canonical, restored, affected)
+            raise
+        if moved is None:
+            self._log_update(part, slot, position, value)
+        else:
+            self._repoint(canonical, moved, affected)
+
+    def _write_field(
+        self, part: Partition, slot: int, position: int, value: object
+    ) -> Optional[TupleRef]:
+        """Write one field in place (None), or relocate the tuple when
+        its partition's heap overflows and return where it went."""
+        try:
+            part.update_field(slot, position, value)
+        except HeapOverflowError:
+            self._relocate(part, slot, position, value)
+            return self.resolve(TupleRef(part.id, slot))
+        return None
+
+    def _log_update(
+        self, part: Partition, slot: int, position: int, value: object
+    ) -> None:
+        self._emit(
+            {
+                "kind": "update",
+                "relation": self.name,
+                "partition": part.id,
+                "slot": slot,
+                "position": position,
+                "value": value,
+            }
+        )
+
+    def _repoint(self, canonical: TupleRef, moved_to: TupleRef, done) -> None:
+        """After a relocation, re-point every index not in ``done``."""
+        if moved_to == canonical:
+            return
+        for idx in self._indexes.values():
+            if idx not in done:
+                idx.delete(canonical)
+                idx.insert(moved_to)
 
     def _relocate(
         self, part: Partition, slot: int, position: int, value: object

@@ -1,4 +1,4 @@
-"""The fault injector core: policies, seeded replay, spec parsing."""
+"""The fault injector core: policies, seeded replay, configuration."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.fault import (
     FaultConfig,
     FaultInjector,
     FaultPolicy,
-    parse_fault_spec,
 )
 from repro.fault import runtime as fault_runtime
 
@@ -208,53 +207,6 @@ class TestSeededReplay:
         assert report["events"][0]["point"] == "disk.write"
 
 
-class TestSpecParsing:
-    def test_full_spec(self):
-        config = parse_fault_spec(
-            "seed=42;pool.worker:action=error,prob=0.2,max=3;"
-            "disk.read:action=corrupt,every=5"
-        )
-        assert config.seed == 42
-        assert config.enabled
-        worker, read = config.policies
-        assert worker.point == "pool.worker"
-        assert worker.probability == 0.2
-        assert worker.max_fires == 3
-        assert read.every_nth == 5
-
-    def test_bare_point_defaults_to_error(self):
-        (policy,) = parse_fault_spec("log.flush").policies
-        assert policy.action == "error"
-        assert policy.probability == 1.0
-
-    def test_once_flag(self):
-        (policy,) = parse_fault_spec("disk.read:once=1").policies
-        assert policy.one_shot
-        (policy,) = parse_fault_spec("disk.read:once=0").policies
-        assert not policy.one_shot
-
-    def test_empty_spec_is_disabled(self):
-        config = parse_fault_spec("")
-        assert not config.enabled
-        assert config == FaultConfig()
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_fault_spec("disk.read:colour=red")
-
-    def test_bad_value_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_fault_spec("disk.read:prob=lots")
-
-    def test_bad_seed_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_fault_spec("seed=banana")
-
-    def test_unknown_point_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_fault_spec("disk.fry:action=error")
-
-
 class TestRuntimeSlot:
     def test_inactive_by_default(self):
         assert fault_runtime.active() is None
@@ -291,8 +243,18 @@ class TestConfigureFaults:
         assert db.fault_injector is None
 
     def test_spec_keyword(self):
+        # The one-line spec syntax is retired: faults are configured
+        # with FaultPolicy objects (or a FaultConfig) only.
         db = MainMemoryDatabase()
-        injector = db.configure_faults(spec="seed=9;disk.read:action=corrupt")
+        with pytest.raises(TypeError):
+            db.configure_faults(spec="seed=9;disk.read:action=corrupt")
+        with pytest.raises(TypeError):
+            db.configure_faults(seed=1, backoff=object())
+        assert db.fault_injector is None
+        assert fault_runtime.active() is None
+        injector = db.configure_faults(
+            seed=9, policies=[FaultPolicy("disk.read", action="corrupt")]
+        )
         assert injector.seed == 9
 
     def test_config_and_kwargs_exclusive(self):
@@ -300,11 +262,12 @@ class TestConfigureFaults:
         with pytest.raises(ConfigError):
             db.configure_faults(FaultConfig(), seed=1)
         with pytest.raises(ConfigError):
-            db.configure_faults(spec="disk.read", seed=1)
+            db.configure_faults(
+                FaultConfig(), policies=[FaultPolicy("disk.read")]
+            )
 
     def test_env_hook(self, monkeypatch):
-        # The environment hook is retired: the spec syntax works only
-        # through configure_faults(spec=...).
+        # The environment hook is retired: setting it installs nothing.
         monkeypatch.setenv(
             "REPRO_FAULTS", "seed=11;disk.read:action=corrupt,once=1"
         )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro import MainMemoryDatabase
+from repro.fault import FaultPolicy
 from repro.instrument import counters_scope
 from repro.obs import ObservabilityConfig
 
@@ -140,7 +141,12 @@ class TestFaultAnnotationRoundTrip:
     def test_injected_fault_annotates_morsel_span(self):
         db = _build_db(2)
         obs = db.configure_observability(ObservabilityConfig())
-        db.configure_faults(spec="seed=7;pool.worker:action=error,once=1")
+        db.configure_faults(
+            seed=7,
+            policies=[
+                FaultPolicy("pool.worker", action="error", one_shot=True)
+            ],
+        )
         with counters_scope() as counters:
             rows = db.sql("SELECT id FROM t WHERE v = 3")
         root = obs.last_query_span()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import MainMemoryDatabase
+from repro.fault import FaultPolicy
 from repro.obs import ObservabilityConfig
 from repro.obs.config import DEFAULT_WORKER_MORSEL_BUCKETS
 
@@ -72,7 +73,12 @@ class TestWorkerStats:
 
     def test_retry_attribution(self, db):
         db.configure_observability(ObservabilityConfig())
-        db.configure_faults(spec="seed=7;pool.worker:action=error,once=1")
+        db.configure_faults(
+            seed=7,
+            policies=[
+                FaultPolicy("pool.worker", action="error", one_shot=True)
+            ],
+        )
         db.sql("SELECT id FROM t WHERE v = 3")
         workers = db.scheduler_stats()["workers"]
         assert sum(w["retried_morsels"] for w in workers.values()) == 1

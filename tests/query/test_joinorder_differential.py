@@ -15,7 +15,9 @@ from repro import MainMemoryDatabase
 from repro.cache import CacheConfig
 from repro.instrument import counters_scope
 from repro.query.optimizer import (
+    MAX_DP_TABLES,
     ForecastOps,
+    Optimizer,
     forecast_hash_join,
     forecast_precomputed_join,
     forecast_tree_join,
@@ -282,3 +284,61 @@ class TestForecastMonotonicity:
         assert total.weighted() == pytest.approx(
             one.weighted() + two.weighted()
         )
+
+
+class TestWideChains:
+    """Past ``MAX_DP_TABLES`` relations the greedy construction orders
+    the chain; its plan returns the written order's rows."""
+
+    WIDTH = MAX_DP_TABLES + 1
+
+    def build_chain_db(self) -> MainMemoryDatabase:
+        # T0 -> T1 -> ... -> T12 by foreign key; T0, the pointer-owning
+        # head, is the smallest, so the greedy start can extend along
+        # every edge.
+        rng = random.Random(SEED + 13)
+        db = MainMemoryDatabase()
+        last = self.WIDTH - 1
+        db.sql(
+            f"CREATE TABLE T{last} (k{last} INT, v INT, "
+            f"PRIMARY KEY (k{last}))"
+        )
+        for i in reversed(range(last)):
+            db.sql(
+                f"CREATE TABLE T{i} (k{i} INT, "
+                f"f{i} INT REFERENCES T{i + 1}(k{i + 1}), PRIMARY KEY (k{i}))"
+            )
+        for i in reversed(range(self.WIDTH)):
+            for k in range(2 + 2 * i):
+                if i == last:
+                    db.insert(f"T{i}", [k, rng.randrange(5)])
+                else:
+                    db.insert(f"T{i}", [k, rng.randrange(4 + 2 * i)])
+        return db
+
+    def chain_query(self) -> str:
+        joins = " ".join(
+            f"JOIN T{i + 1} ON f{i} = k{i + 1}" for i in range(self.WIDTH - 1)
+        )
+        return f"SELECT k0, v FROM T0 {joins} WHERE v > 1"
+
+    def test_greedy_order_matches_written_rows(self, monkeypatch):
+        chosen = []
+        greedy = Optimizer._greedy_order
+
+        def spy(self, *args):
+            order = greedy(self, *args)
+            chosen.append(order)
+            return order
+
+        monkeypatch.setattr(Optimizer, "_greedy_order", spy)
+        db = self.build_chain_db()
+        db.configure_optimizer(join_ordering="written")
+        written = sorted(db.sql(self.chain_query()).materialize())
+        assert chosen == []
+        db.configure_optimizer(join_ordering="cost")
+        cost = sorted(db.sql(self.chain_query()).materialize())
+        assert len(chosen) == 1 and chosen[0] is not None
+        order, steps = chosen[0]
+        assert len(order) == self.WIDTH and len(steps) == self.WIDTH - 1
+        assert written and cost == written

@@ -1,8 +1,8 @@
 """The morsel wire without shared memory (DESIGN.md section 3.13).
 
 The shm morsel transport is retired: morsels, results and broadcast
-probe tables travel on the pickle wire only, and the shm byte carrier
-serves the replication channels alone.  These tests keep the checks
+probe tables travel on the pickle wire only, and no engine path uses
+the shm byte carrier any more.  These tests keep the checks
 the transport's suite made that still apply, with every shm segment
 create and attach forbidden while the parallel engine runs:
 

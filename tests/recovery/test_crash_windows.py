@@ -185,7 +185,7 @@ class TestCrashDuringReplication:
     """
 
     def test_mid_ship_corruption_replays_exactly(self, durable_db):
-        durable_db.configure_replication(channel="inline", retry_attempts=3)
+        durable_db.configure_replication(retry_attempts=3)
         durable_db.insert("Employee", ["Shipley", 90, 30, 459])
         committed = _employee_names(durable_db)
         durable_db.configure_faults(
@@ -205,7 +205,7 @@ class TestCrashDuringReplication:
         assert len(durable_db.select("Employee", eq("Id", 90))) == 1
 
     def test_mid_apply_fault_replays_exactly(self, durable_db):
-        durable_db.configure_replication(channel="inline", retry_attempts=3)
+        durable_db.configure_replication(retry_attempts=3)
         durable_db.insert("Employee", ["Applegate", 91, 33, 409])
         committed = _employee_names(durable_db)
         durable_db.configure_faults(
@@ -229,7 +229,7 @@ class TestCrashDuringReplication:
         # checkpoint pins the replay suffix to exactly the new inserts.
         durable_db.checkpoint()
         durable_db.configure_replication(
-            channel="inline", batch_records=1, retry_attempts=3
+            batch_records=1, retry_attempts=3
         )
         for i in range(4):
             durable_db.insert(
@@ -244,7 +244,7 @@ class TestCrashDuringReplication:
         )
         durable_db.demote(reason="mid-promotion window")
         durable_db.configure_faults()
-        replica = durable_db.replication.channel.request("state")
+        replica = durable_db.replication.replica.state()
         assert replica["records_applied"] == 4
         assert replica["records_skipped"] == 0
         assert _employee_names(durable_db) == committed
@@ -253,7 +253,7 @@ class TestCrashDuringReplication:
         def one_pass():
             db = build_figure1_db(durable=True)
             db.configure_replication(
-                channel="inline", batch_records=1, retry_attempts=3
+                batch_records=1, retry_attempts=3
             )
             for i in range(3):
                 db.insert("Employee", [f"Det{i}", 80 + i, 40 + i, 411])

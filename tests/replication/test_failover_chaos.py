@@ -32,6 +32,7 @@ from repro.obs import runtime as obs_runtime
 from repro.query.parallel import fork_available
 from repro.query.plan import FilterNode, JoinNode, ProjectNode, ScanNode
 from repro.query.predicates import between, ge, gt, le, lt
+from repro.storage.partition import PartitionConfig
 
 #: Seed for the fault plan only — CI sweeps this via the chaos lane.
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1012"))
@@ -134,7 +135,7 @@ def _run_pass(chaos: bool):
     if chaos:
         # Replication comes up before the fault plan so the bootstrap
         # image reads stay fault-free; every later hop is fair game.
-        db.configure_replication(channel="inline", retry_attempts=5)
+        db.configure_replication(retry_attempts=5)
     # Post-checkpoint commits exercise log merge (baseline) and log
     # shipping (chaos) — both passes must end with the same 20 rows.
     rng = random.Random(DATA_SEED + 2)
@@ -221,35 +222,48 @@ def test_failover_chaos_replay_is_deterministic():
     assert first_promo.partitions_restored == second_promo.partitions_restored
 
 
-def test_worker_kill_detection_promotes():
-    """``check_failover`` reads the injector's kill events as primary
-    death — the chaos lane's kill-primary signal — and promotes."""
+
+def _late_relation_pass(replicate: bool):
+    """A relation created *after* the replica came up, then the primary
+    dies: failover (``replicate``) or restart from the disk copy."""
+    rng = random.Random(DATA_SEED + 3)
     db = _build_db()
     db.checkpoint()
-    db.configure_replication(channel="inline")
+    if replicate:
+        db.configure_replication()
+    # Small partitions: the replica must learn this sizing, or the
+    # partitions it creates for L would not match the primary's.
+    db.create_relation(
+        "L",
+        [Field("Id", FieldType.INT), Field("A", FieldType.INT)],
+        primary_key="Id",
+        partition_config=PartitionConfig(slot_capacity=8),
+    )
+    for i in range(30):
+        db.insert("L", [i, rng.randrange(VALUE_SPACE)])
     try:
-        db.configure_faults(
-            seed=SEED,
-            policies=[FaultPolicy("pool.worker", action="kill", one_shot=True)],
-        )
-        db.configure_execution(
-            engine="batch",
-            workers=2,
-            morsel_size=MORSEL,
-            pool=POOL,
-            retry_attempts=3,
-        )
-        plan = ScanNode("R", gt("A", VALUE_SPACE // 2))
-        expected = db.executor.execute(plan).rows()
-        assert db.check_failover() is True
-        state = db.replication_state()
-        assert state["state"] == "promoted"
-        assert state["failovers"] == 1
-        # The promoted catalog answers the same query identically.
-        assert db.executor.execute(plan).rows() == expected
-        # A second check is a no-op: the failover already happened.
-        assert db.check_failover() is False
+        db.crash()
+        if replicate:
+            promotion = db.demote(reason="late relation")
+            assert promotion.records_replayed > 0
+            assert db.replication.replica.configs["L"] == (8, 32768)
+        else:
+            db.recover()
+        # The adopted partitions keep the primary's sizing: later
+        # inserts land on the same pointers either way.
+        refs = [
+            db.insert("L", [30 + i, rng.randrange(VALUE_SPACE)])
+            for i in range(20)
+        ]
+        with counters_scope() as counters:
+            rows = db.executor.execute(ScanNode("L", gt("A", 10))).rows()
+        values = sorted(db.select("L").materialize())
+        return refs, rows, values, counters.snapshot().as_dict()
     finally:
-        db.configure_execution()
-        db.configure_faults()
         db.stop_replication()
+
+
+def test_relation_created_after_establish_fails_over_identically():
+    assert _late_relation_pass(replicate=True) == _late_relation_pass(
+        replicate=False
+    )

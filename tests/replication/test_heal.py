@@ -42,7 +42,7 @@ def _build_db() -> MainMemoryDatabase:
     for i in range(ROWS):
         db.insert("R", [i, rng.randrange(50)])
     db.checkpoint()
-    db.configure_replication(channel="inline")
+    db.configure_replication()
     # Post-checkpoint commits: the replica stays current via shipping
     # while the damaged *stored* image stays checkpoint-era.
     for i in range(EXTRA):

@@ -1,5 +1,5 @@
-"""Unit coverage for the shipping layer: batches, channels, the shipper,
-and the shared-memory carrier the channels move large batches through.
+"""Unit coverage for the shipping layer: batches, the shipper, and the
+shared-memory carrier module.
 
 Everything here drives :class:`ReplicaApplier` /
 :class:`LogShipper` directly with hand-built log records — no full
@@ -30,16 +30,13 @@ from repro.query.plan import ScanNode
 from repro.query.predicates import gt
 from repro.recovery.log import LogRecord
 from repro.replication import (
-    InlineChannel,
     LogShipper,
-    ProcessChannel,
     ReplicaApplier,
     ReplicationConfig,
     ShippedBatch,
     corrupt_bytes,
     decode_batch,
     encode_batch,
-    process_channel_available,
 )
 
 #: Sizing for the hand-built replica relation.
@@ -73,8 +70,7 @@ def _records(first_lsn: int, count: int):
 
 def _shipper(**config_kwargs):
     applier = ReplicaApplier(configs=CONFIGS)
-    channel = InlineChannel(applier)
-    shipper = LogShipper(channel, ReplicationConfig(**config_kwargs))
+    shipper = LogShipper(applier, ReplicationConfig(**config_kwargs))
     return applier, shipper
 
 
@@ -139,7 +135,7 @@ class TestExactlyOnce:
 class TestEpochFencing:
     def test_stale_epoch_batch_is_fenced(self):
         applier = ReplicaApplier(configs=CONFIGS)
-        applier.handle("set_epoch", 3)
+        applier.epoch = 3
         stale = encode_batch(
             ShippedBatch(epoch=2, seq=1, records=tuple(_records(1, 2)))
         )
@@ -163,7 +159,7 @@ class TestEpochFencing:
         shipper.enqueue(_records(1, 3))
         assert shipper.flush() == 3
         # Promotion elsewhere fences the replica to a newer epoch.
-        applier.handle("set_epoch", shipper.epoch + 1)
+        applier.epoch = shipper.epoch + 1
         shipper.enqueue(_records(4, 2))
         with pytest.raises(ReplicationEpochError):
             shipper.flush()
@@ -241,89 +237,28 @@ class TestLogShipper:
         assert applier.records_applied == 5
 
 
-class TestProcessChannel:
-    @pytest.mark.skipif(
-        not process_channel_available(), reason="fork start method required"
-    )
-    def test_forked_replica_round_trip(self):
-        bootstrap = {"configs": CONFIGS, "epoch": 1, "images": {}}
-        channel = ProcessChannel(bootstrap)
-        try:
-            assert channel.request("ping") == "pong"
-            shipper = LogShipper(channel, ReplicationConfig())
-            shipper.enqueue(_records(1, 6))
-            assert shipper.flush() == 6
-            state = channel.request("state")
-            assert state["records_applied"] == 6
-            assert state["watermark"] == 6
-        finally:
-            channel.close()
-
-    @pytest.mark.skipif(
-        not process_channel_available(), reason="fork start method required"
-    )
-    def test_closed_channel_raises_typed_error(self):
-        from repro.errors import ReplicaUnavailableError
-
-        channel = ProcessChannel(
-            {"configs": CONFIGS, "epoch": 1, "images": {}}
-        )
-        channel.close()
-        with pytest.raises(ReplicaUnavailableError):
-            channel.request("ping")
-
-
 class TestShmTransport:
-    @pytest.mark.skipif(
-        not shm.available(), reason="POSIX shared memory required"
-    )
-    def test_large_batches_ride_shared_memory(self):
-        rng = random.Random(77)
-        db = MainMemoryDatabase(durable=True)
-        db.create_relation(
-            "R",
-            [Field("Id", FieldType.INT), Field("A", FieldType.INT)],
-            primary_key="Id",
-        )
-        for i in range(50):
-            db.insert("R", [i, rng.randrange(40)])
-        db.checkpoint()
-        db.configure_replication(channel="inline", transport="shm")
-        try:
-            # A wide post-checkpoint suffix: the encoded batch clears
-            # MIN_BLOB_BYTES and ships as a descriptor, not a pickle.
-            for i in range(200):
-                db.insert("R", [50 + i, rng.randrange(40)])
-            stats = db.demote(reason="shm transport")
-            assert stats.records_replayed == 200
-            assert db.replication.channel.stats.get("shipped_via_shm", 0) >= 1
-            assert (
-                sorted(row[0] for row in db.select("R").materialize())
-                == list(range(250))
-            )
-        finally:
-            db.stop_replication()
-
-    def test_unavailable_platform_keeps_batches_on_the_pipe(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(shm, "shared_memory", None)
-        assert not shm.available()
-        db = _workload_db(replicate=False)
-        db.configure_replication(channel="inline", transport="shm")
-        try:
-            for i in range(200):
-                db.insert("R", [1000 + i, i % 40])
-            stats = db.demote(reason="no shared memory")
-            assert stats.records_replayed == 200
-            assert db.replication.channel.stats.get("shipped_via_shm", 0) == 0
-            assert len(db.select("R").materialize()) == 630
-        finally:
-            db.stop_replication()
-
     def test_config_validates_transport(self):
-        with pytest.raises(ConfigError, match="replication transport"):
-            ReplicationConfig(transport="carrier-pigeon")
+        # The shm shipping transport and the forked process channel
+        # are retired: the replica is called in-process, and neither
+        # setting is accepted any more.
+        with pytest.raises(TypeError):
+            ReplicationConfig(transport="shm")
+        with pytest.raises(TypeError):
+            ReplicationConfig(channel="process")
+        db = _workload_db(replicate=False)
+        with pytest.raises(TypeError):
+            db.configure_replication(transport="shm")
+
+
+class TestReplicationConfig:
+    @pytest.mark.parametrize(
+        "field", ["max_lag_records", "batch_records", "retry_attempts"]
+    )
+    @pytest.mark.parametrize("value", [0, True, "3"])
+    def test_config_rejects_non_positive_counts(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ReplicationConfig(**{field: value})
 
 
 @pytest.mark.skipif(not shm.available(), reason="POSIX shared memory required")
@@ -408,7 +343,7 @@ def _workload_db(replicate: bool):
         db.insert("R", [i, rng.randrange(40)])
     db.checkpoint()
     if replicate:
-        db.configure_replication(channel="inline")
+        db.configure_replication()
     for i in range(30):
         db.insert("R", [400 + i, rng.randrange(40)])
     db.propagate_log()
@@ -459,3 +394,31 @@ class TestZeroOverheadWhenOff:
         db.stop_replication()
         assert db.recovery.log_device._sinks == []
         assert db.replication is None
+
+
+class TestEnvHook:
+    @pytest.mark.parametrize(
+        "value", ["inline", "process", "inline:shm", "process:shm", "yes"]
+    )
+    def test_retired_value_raises(self, monkeypatch, value):
+        # A lane still naming a retired channel mode fails loudly,
+        # durable or not, instead of silently running unreplicated.
+        monkeypatch.setenv("REPRO_REPLICATION", value)
+        with pytest.raises(ConfigError, match="REPRO_REPLICATION"):
+            MainMemoryDatabase(durable=True)
+        with pytest.raises(ConfigError, match="REPRO_REPLICATION"):
+            MainMemoryDatabase()
+
+    @pytest.mark.parametrize("value", ["", "0", "false", "off"])
+    def test_off_values_attach_nothing(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_REPLICATION", value)
+        assert MainMemoryDatabase(durable=True).replication is None
+
+    def test_one_attaches_a_replica_to_durable_databases(self, monkeypatch):
+        monkeypatch.setenv("REPRO_REPLICATION", "1")
+        assert MainMemoryDatabase().replication is None
+        db = MainMemoryDatabase(durable=True)
+        try:
+            assert db.replication_state()["state"] == "active"
+        finally:
+            db.stop_replication()
