@@ -4,11 +4,15 @@
         --workload query_mix_par --seconds 12 --pairs 10
 
 runs ``benchmarks/e2e/run.py --trace 0`` once per side per pair, each in
-its own checkout (so each side measures its own ``src/`` with its own
-copy of the benchmark), alternating which side goes first so that host
-drift lands on both.  Per end-to-end metric of ``BENCHMARK.json`` it
-prints both medians, both quartile ranges and the pairs the change won
-(ties count for neither side), and marks
+its own tree (so each side measures its own ``src/`` with its own copy
+of the benchmark), alternating which side goes first so that host drift
+lands on both.  Both trees are copies, without ``.git`` and without
+``benchmarks/e2e/out``, into ``<tmp>/parent`` and ``<tmp>/change``:
+paths of equal length, laid out alike, so the ~1% ``peak_rss_mb`` that
+path length or a ``.git`` directory alone moves cannot appear.  Per
+end-to-end metric of ``BENCHMARK.json`` it prints both medians, both
+quartile ranges and the pairs the change won (ties count for neither
+side), and marks
 
 * ``gain`` — the change won at least nine tenths of the pairs and the
   medians differ by more than the parent's own quartile range;
@@ -17,11 +21,10 @@ prints both medians, both quartile ranges and the pairs the change won
 * ``unresolved`` — neither, but one side's quartile range is wider
   than that bound, so "no change" cannot be read off these runs.
 
-Before the first pair it prints each side's resolved path and whether
-it holds a ``.git`` directory, and warns when the two differ in path
-length or in ``.git``: either moves ``peak_rss_mb`` by about 1% with no
-code change (62.67 vs 63.51 MB on one 2-core VM), so such a pair of
-checkouts cannot judge a small memory difference.
+Before the first pair it prints each side's source path, commit and
+dirty state, and one host line: how much faster two spinning processes
+get through their work than one (the median of 5 trials; ~2x on two
+free cores, ~1x when the host gives this run one).
 
 Exit status is 1 when any run failed a correctness check or any metric
 is ``WORSE``.  This is the tool a performance claim is judged with.
@@ -31,9 +34,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
@@ -71,27 +77,63 @@ def quartiles(values: List[float]) -> Tuple[float, float, float]:
     return q1, q2, q3
 
 
-def describe_checkouts(sides: Dict[str, Path]) -> List[str]:
-    """One line per side (resolved path, ``.git`` or not), then a
-    warning for each way the two checkouts differ besides their code."""
-    has_git = {side: (path / ".git").exists() for side, path in sides.items()}
-    lines = [
-        f"{side}: {path} ({'.git' if has_git[side] else 'no .git'})"
-        for side, path in sides.items()
-    ]
-    parent, change = sides["parent"], sides["change"]
-    if len(str(parent)) != len(str(change)):
-        lines.append(
-            f"warning: path lengths differ ({len(str(parent))} vs "
-            f"{len(str(change))} characters); peak_rss_mb moves ~1% "
-            "with no code change"
+def describe_source(side: str, path: Path) -> str:
+    """``side: path @ commit (clean|dirty)``, from git where it can."""
+    def git(*args: str) -> str:
+        done = subprocess.run(
+            ["git", "-C", str(path), *args], capture_output=True, text=True
         )
-    if has_git["parent"] != has_git["change"]:
-        lines.append(
-            "warning: only one side holds .git; peak_rss_mb moves ~1% "
-            "with no code change"
-        )
-    return lines
+        return done.stdout.strip() if done.returncode == 0 else ""
+
+    commit = git("rev-parse", "--short", "HEAD")
+    if not commit:
+        return f"{side}: {path} @ no git commit"
+    state = "dirty" if git("status", "--porcelain") else "clean"
+    return f"{side}: {path} @ {commit} ({state})"
+
+
+def stage(source: Path, target: Path) -> Path:
+    """Copy ``source`` to ``target`` without ``.git`` or the e2e
+    benchmark's output directory."""
+    shutil.copytree(
+        source,
+        target,
+        ignore=lambda folder, names: [
+            name for name in names
+            if name == ".git"
+            or (Path(folder, name) == source / "benchmarks" / "e2e" / "out")
+        ],
+    )
+    return target
+
+
+#: One spinning process: a fixed count of loop turns, then its own
+#: elapsed wall time on stdout.
+SPIN = (
+    "import time; t = time.perf_counter()\n"
+    "for _ in range(3_000_000): pass\n"
+    "print(time.perf_counter() - t)"
+)
+
+
+def host_capability(trials: int = 5) -> float:
+    """Throughput of two spinning processes over one, the median of
+    ``trials``; at most two processes run at a time."""
+    def spin(count: int) -> float:
+        started = [
+            subprocess.Popen(
+                [sys.executable, "-c", SPIN],
+                stdout=subprocess.PIPE, text=True,
+            )
+            for _ in range(count)
+        ]
+        return max(float(proc.communicate()[0]) for proc in started)
+
+    ratios = []
+    for _ in range(trials):
+        one = spin(1)
+        ratios.append(2 * one / spin(2))
+    return statistics.median(ratios)
 
 
 def main() -> int:
@@ -110,15 +152,40 @@ def main() -> int:
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds or declared["run_seconds"]
+    sources = {
+        "parent": args.parent.resolve(),
+        "change": args.change.resolve(),
+    }
+    for side, path in sources.items():
+        print(describe_source(side, path), flush=True)
+    started = time.perf_counter()
+    capability = host_capability()
+    print(
+        f"host: two spinning processes run {capability:.2f}x one "
+        f"(median of 5, {time.perf_counter() - started:.1f} s)",
+        flush=True,
+    )
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        sides = {
+            side: stage(path, Path(tmp) / side)
+            for side, path in sources.items()
+        }
+        return measure(args, declared, seconds, sides)
+
+
+def measure(
+    args: argparse.Namespace,
+    declared: Dict[str, Any],
+    seconds: float,
+    sides: Dict[str, Path],
+) -> int:
+    """The interleaved pairs and the verdict table; exit status."""
     command = declared["command"]
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     samples: Dict[str, Dict[str, List[float]]] = {
         side: {m["name"]: [] for m in declared["end_to_end"]}
         for side in sides
     }
     failed = {side: 0 for side in sides}
-    for line in describe_checkouts(sides):
-        print(line, flush=True)
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:

@@ -16,12 +16,17 @@ of the post-checkpoint log suffix:
 suffix size exactly, so the regression gate catches a shipper that
 starts double-shipping (or silently dropping) records.  All ``*_
 seconds`` / ``*_ratio`` columns are wall-clock and exempt from gating.
+Every timed region runs with the cyclic garbage collector collected
+first and held off, so a collection that a previous pass's garbage
+triggers does not land in one side of the ratio.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import time
+from contextlib import contextmanager
 
 try:
     from benchmarks.harness import SeriesCollector
@@ -60,21 +65,34 @@ def _insert_suffix(db: MainMemoryDatabase, count: int) -> None:
         db.insert("R", [N_BASE + i, rng.randrange(VALUE_SPACE)])
 
 
+@contextmanager
+def _collector_held():
+    """Collect, then keep the cyclic collector off for the ``with`` body."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def _ship_overhead(count: int) -> float:
     """Replicated over plain wall time for the same insert+flush pass."""
     plain = _build_db()
-    started = time.perf_counter()
-    _insert_suffix(plain, count)
-    plain.propagate_log()
-    plain_seconds = time.perf_counter() - started
+    with _collector_held():
+        started = time.perf_counter()
+        _insert_suffix(plain, count)
+        plain.propagate_log()
+        plain_seconds = time.perf_counter() - started
 
     replicated = _build_db()
     replicated.configure_replication()
-    started = time.perf_counter()
-    _insert_suffix(replicated, count)
-    replicated.propagate_log()
-    replicated.replication.shipper.flush()
-    replicated_seconds = time.perf_counter() - started
+    with _collector_held():
+        started = time.perf_counter()
+        _insert_suffix(replicated, count)
+        replicated.propagate_log()
+        replicated.replication.shipper.flush()
+        replicated_seconds = time.perf_counter() - started
     replicated.stop_replication()
     return replicated_seconds / max(plain_seconds, 1e-9)
 
@@ -85,7 +103,8 @@ def _failover(count: int):
     db.configure_replication()
     _insert_suffix(db, count)
     db.crash()
-    promotion = db.demote(reason="benchmark")
+    with _collector_held():
+        promotion = db.demote(reason="benchmark")
     rows = len(db.select("R"))
     assert rows == N_BASE + count, (rows, count)
     state = db.replication.shipper.state()
@@ -104,7 +123,8 @@ def _heal(count: int):
     disk._images[("R", 0)] = bytes(framed)
     db.crash()
     db.recover(partial=True)
-    heal = db.heal_partitions()
+    with _collector_held():
+        heal = db.heal_partitions()
     assert heal.partitions_healed == 1, heal
     assert db.quarantine_report() == {}
     assert len(db.select("R")) == N_BASE + count

@@ -66,7 +66,7 @@ from repro.errors import (
     TornWriteError,
     TransactionError,
 )
-from repro.fault import FaultConfig, FaultInjector, FaultPolicy
+from repro.fault import FaultInjector, FaultPolicy
 from repro.indexes import (
     ArrayIndex,
     AVLTreeIndex,
@@ -93,7 +93,6 @@ __all__ = [
     "DeadlockError",
     "DuplicateKeyError",
     "ExtendibleHashIndex",
-    "FaultConfig",
     "FaultInjector",
     "FaultPolicy",
     "Field",

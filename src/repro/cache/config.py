@@ -14,14 +14,11 @@ from dataclasses import dataclass
 
 @dataclass
 class CacheConfig:
-    """Capacities and enable flags for the reuse caches."""
+    """Enable flags for the reuse caches.  Capacities are the
+    ``AST_CAPACITY`` / ``PLAN_CAPACITY`` constants of
+    :mod:`repro.cache.plan_cache` and ``RESULT_CAPACITY`` of
+    :mod:`repro.cache.result_cache`."""
 
-    #: LRU capacity of the normalized-SQL → parsed-AST cache.
-    ast_capacity: int = 128
-    #: LRU capacity of the normalized-SQL → optimized-plan cache.
-    plan_capacity: int = 128
-    #: LRU capacity of the fingerprint → result cache (subtree + statement).
-    result_capacity: int = 64
     #: Master switch for the parse/plan layer.
     enable_plans: bool = True
     #: Master switch for the result-reuse layer.

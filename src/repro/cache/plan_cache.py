@@ -26,12 +26,18 @@ from repro.errors import CatalogError, FingerprintError
 from repro.obs import runtime as obs_runtime
 
 
+#: LRU capacity of the statement key → parsed-AST layer.
+AST_CAPACITY = 128
+#: LRU capacity of the statement key → optimized-plan layer.
+PLAN_CAPACITY = 128
+
+
 class PlanCache:
     """Statement key → AST and statement key → optimized-plan caches."""
 
-    def __init__(self, ast_capacity: int = 128, plan_capacity: int = 128) -> None:
-        self.ast_cache = LRUCache(ast_capacity, "plan_ast")
-        self.plan_cache = LRUCache(plan_capacity, "plan")
+    def __init__(self) -> None:
+        self.ast_cache = LRUCache(AST_CAPACITY, "plan_ast")
+        self.plan_cache = LRUCache(PLAN_CAPACITY, "plan")
 
     # -- parsed-statement layer -------------------------------------------
 

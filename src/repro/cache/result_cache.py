@@ -49,12 +49,16 @@ def _snapshot(payload: Any) -> Any:
     return payload
 
 
+#: LRU capacity shared by the subtree and statement keyspaces.
+RESULT_CAPACITY = 64
+
+
 class ResultCache:
     """Version-validated LRU of executor and statement results."""
 
-    def __init__(self, catalog, capacity: int = 64) -> None:
+    def __init__(self, catalog) -> None:
         self.catalog = catalog
-        self.cache = LRUCache(capacity, "result")
+        self.cache = LRUCache(RESULT_CAPACITY, "result")
 
     # -- executor subtree layer -------------------------------------------
 

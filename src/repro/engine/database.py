@@ -33,6 +33,7 @@ import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
+    ConfigError,
     QueryError,
     SchemaError,
     TransactionError,
@@ -104,53 +105,47 @@ class MainMemoryDatabase:
         self.fault_injector = None
         self.execution_config = None
         self.replication = None
-        # CI hook: REPRO_EXEC_ENGINE/_WORKERS/_POOL select a default
-        # execution config for every database constructed in the
-        # process (the 2-worker pytest lane runs the whole suite on the
-        # parallel path this way).  Explicit configure_execution calls
-        # still override per instance.
-        env_engine = os.environ.get("REPRO_EXEC_ENGINE")
-        if env_engine:
-            self.configure_execution(
-                engine=env_engine,
-                workers=int(os.environ.get("REPRO_EXEC_WORKERS") or 1),
-                pool=os.environ.get("REPRO_EXEC_POOL") or None,
-            )
-        # Optimizer hook: REPRO_JOIN_ORDERING selects the multi-join
-        # ordering mode for every database in the process (CI lanes run
-        # the suite under "cost" this way).  configure_optimizer still
-        # overrides per instance.
-        env_ordering = os.environ.get("REPRO_JOIN_ORDERING")
-        if env_ordering:
-            self.configure_optimizer(join_ordering=env_ordering)
-        # Observability hook: REPRO_OBS=1 enables the default tracing +
-        # metrics + flight-recorder stack for every database in the
-        # process (the obs-enabled CI smoke lane uses this).  Explicit
-        # configure_observability calls still override.
-        env_obs = os.environ.get("REPRO_OBS")
-        if env_obs and env_obs not in ("0", "false", "off"):
-            self.configure_observability()
-        # Replication hook: REPRO_REPLICATION=1 attaches a warm replica
-        # to every *durable* database in the process — the replication
-        # CI lane runs the suite replicated this way.  Any other value
-        # but off (unset, 0, false, off) is refused, so a lane still
-        # naming a retired mode fails loudly.  Explicit
-        # configure_replication calls still override.
-        env_repl = os.environ.get("REPRO_REPLICATION")
-        if env_repl and env_repl not in ("0", "false", "off"):
-            if env_repl != "1":
-                from repro.errors import ConfigError
-
-                raise ConfigError(
-                    f"REPRO_REPLICATION={env_repl!r}: use 1 (on) or "
-                    "0 (off)"
-                )
-            if durable:
-                self.configure_replication()
+        self._configure_from_environment()
         # The transaction id used for log records when no transaction is
         # active (each autocommit op commits immediately).
         self._autocommit_lock = threading.Lock()
         self._txn_local = threading.local()
+
+    def _configure_from_environment(self) -> None:
+        """Apply the ``REPRO_*`` process-wide defaults.
+
+        This is the one place the package reads its environment.  CI
+        lanes run the whole suite on the batch engine, on two inline
+        workers, under cost-based join ordering, observed, or with a
+        warm replica on every durable database this way; an explicit
+        ``configure_*`` call still overrides per instance.  The two
+        switches take 1 (on) or 0 / false / off, and refuse anything
+        else, so a lane still naming a retired mode fails loudly.
+        """
+        engine = os.environ.get("REPRO_EXEC_ENGINE")
+        if engine:
+            self.configure_execution(
+                engine=engine,
+                workers=int(os.environ.get("REPRO_EXEC_WORKERS") or 1),
+                pool=os.environ.get("REPRO_EXEC_POOL") or None,
+            )
+        ordering = os.environ.get("REPRO_JOIN_ORDERING")
+        if ordering:
+            self.configure_optimizer(join_ordering=ordering)
+        for variable, value, configure in (
+            ("REPRO_OBS", os.environ.get("REPRO_OBS"),
+             self.configure_observability),
+            ("REPRO_REPLICATION", os.environ.get("REPRO_REPLICATION"),
+             self.configure_replication if self.durable else None),
+        ):
+            if value in (None, "", "0", "false", "off"):
+                continue
+            if value != "1":
+                raise ConfigError(
+                    f"{variable}={value!r}: use 1 (on) or 0 (off)"
+                )
+            if configure is not None:
+                configure()
 
     # ------------------------------------------------------------------ #
     # query reuse subsystem
@@ -167,15 +162,9 @@ class MainMemoryDatabase:
 
         if config is None:
             config = CacheConfig()
-        self.plan_cache = (
-            PlanCache(config.ast_capacity, config.plan_capacity)
-            if config.enable_plans
-            else None
-        )
+        self.plan_cache = PlanCache() if config.enable_plans else None
         self.result_cache = (
-            ResultCache(self.catalog, config.result_capacity)
-            if config.enable_results
-            else None
+            ResultCache(self.catalog) if config.enable_results else None
         )
         self.executor.result_cache = self.result_cache
 
@@ -194,7 +183,6 @@ class MainMemoryDatabase:
         as caching and batch execution: results are identical in either
         mode, only the plan changes.
         """
-        from repro.errors import ConfigError
         from repro.query.optimizer import JOIN_ORDERINGS
 
         if join_ordering is None:
@@ -212,19 +200,17 @@ class MainMemoryDatabase:
 
     def configure_execution(
         self,
-        config=None,
         *,
         engine: str = None,
         workers: int = None,
         morsel_size: int = None,
         pool: str = None,
-        retry_attempts: int = None,
     ):
         """Select the execution engine (tuple-at-a-time vs. batch).
 
-        ``config`` is an
-        :class:`~repro.query.vectorized.ExecutionConfig`; alternatively
-        pass its fields as keywords.  Passing fields without ``engine``
+        The keywords are the fields of
+        :class:`~repro.query.vectorized.ExecutionConfig`, kept as
+        ``db.execution_config``.  Passing fields without ``engine``
         implies the batch engine.  Called with nothing, it restores the
         default tuple-at-a-time engine.  ``workers=N`` with the batch
         engine adds morsel-driven parallelism for ``N > 1``;
@@ -236,30 +222,20 @@ class MainMemoryDatabase:
         raise :class:`repro.errors.ConfigError` here, before any plan
         runs.  Returns the new executor.
         """
-        from repro.errors import ConfigError
         from repro.query.vectorized import BatchExecutor, ExecutionConfig
 
-        keyword_fields = {
-            "engine": engine,
-            "workers": workers,
-            "morsel_size": morsel_size,
-            "pool": pool,
-            "retry_attempts": retry_attempts,
-        }
         given = {
             name: value
-            for name, value in keyword_fields.items()
+            for name, value in (
+                ("workers", workers),
+                ("morsel_size", morsel_size),
+                ("pool", pool),
+            )
             if value is not None
         }
-        if config is None:
-            if engine is None:
-                wants_batch = bool(given)
-                given["engine"] = "batch" if wants_batch else "tuple"
-            config = ExecutionConfig(**given)
-        elif given:
-            raise ConfigError(
-                "pass either an ExecutionConfig or keyword fields, not both"
-            )
+        if engine is None:
+            engine = "batch" if given else "tuple"
+        config = ExecutionConfig(engine=engine, **given)
         previous = self.executor
         if config.engine == "batch":
             if config.workers > 1:
@@ -271,7 +247,6 @@ class MainMemoryDatabase:
                     workers=config.workers,
                     morsel_size=config.morsel_size,
                     pool=config.pool,
-                    retry_attempts=config.retry_attempts,
                 )
             else:
                 self.executor = BatchExecutor(self.catalog, self.result_cache)
@@ -381,46 +356,34 @@ class MainMemoryDatabase:
 
     def configure_faults(
         self,
-        config=None,
         *,
-        seed: int = None,
-        policies: Sequence[Any] = None,
+        seed: int = 0,
+        policies: Sequence[Any] = (),
     ):
         """Install (or remove) the deterministic fault injector.
 
-        ``config`` is a :class:`~repro.fault.FaultConfig`; alternatively
-        pass ``seed`` plus a ``policies`` sequence of
-        :class:`~repro.fault.FaultPolicy`.  The injector is activated
-        *process-wide* — fault hooks consult a module-level slot, the
-        same contract as the observability hooks, so when disabled every
-        hook is a single global load.  Called with nothing (or with a
-        config carrying no policies), it deactivates fault injection
-        entirely and restores the zero-overhead no-op hooks.
+        ``seed`` drives every probabilistic decision of the
+        ``policies``, a sequence of :class:`~repro.fault.FaultPolicy`.
+        The injector is activated *process-wide* — fault hooks consult a
+        module-level slot, the same contract as the observability hooks,
+        so when disabled every hook is a single global load.  Called
+        with no policies, it deactivates fault injection entirely and
+        restores the zero-overhead no-op hooks.
 
         Returns the installed
         :class:`~repro.fault.FaultInjector` (or None when disabling).
         """
-        from repro.errors import ConfigError
-        from repro.fault import FaultConfig, FaultInjector
+        from repro.fault import FaultInjector
         from repro.fault import runtime as fault_runtime
 
-        if config is not None and (seed is not None or policies is not None):
-            raise ConfigError(
-                "pass either a FaultConfig or keyword fields, not both"
-            )
-        if config is None:
-            config = FaultConfig(
-                seed=seed if seed is not None else 0,
-                policies=tuple(policies) if policies else (),
-            )
-        if not config.enabled:
+        if not policies:
             if self.fault_injector is not None and (
                 fault_runtime.active() is self.fault_injector
             ):
                 fault_runtime.deactivate()
             self.fault_injector = None
             return None
-        self.fault_injector = FaultInjector(config.seed, config.policies)
+        self.fault_injector = FaultInjector(seed, policies)
         fault_runtime.activate(self.fault_injector)
         return self.fault_injector
 
@@ -428,22 +391,14 @@ class MainMemoryDatabase:
     # replication (durable mode)
     # ------------------------------------------------------------------ #
 
-    def configure_replication(
-        self,
-        config=None,
-        *,
-        max_lag_records: int = None,
-        batch_records: int = None,
-        retry_attempts: int = None,
-    ):
+    def configure_replication(self):
         """Establish a log-shipped warm replica (durable mode only).
 
-        ``config`` is a
-        :class:`~repro.replication.ReplicationConfig`; alternatively
-        pass its fields as keywords.  The replica bootstraps from the
-        disk copy plus the accumulation log's unpropagated suffix, then
-        stays current: every record the log device absorbs also ships,
-        in checksummed batches, with retries on every hop.  On
+        The replica bootstraps from the disk copy plus the accumulation
+        log's unpropagated suffix, then stays current: every record the
+        log device absorbs also ships, in checksummed batches, with
+        retries on every hop (the lag bound, batch size and retry budget
+        are the constants of :mod:`repro.replication.shipper`).  On
         primary failure, :meth:`demote` promotes the replica.  A
         partition quarantined by ``recover(partial=True)`` heals online
         from the replica via :meth:`heal_partitions`.
@@ -451,29 +406,12 @@ class MainMemoryDatabase:
         Reconfiguring replaces the existing replica.  Returns the
         :class:`~repro.replication.FailoverCoordinator`.
         """
-        from repro.errors import ConfigError
-        from repro.replication import FailoverCoordinator, ReplicationConfig
+        from repro.replication import FailoverCoordinator
 
         self._require_durable()
-        keyword_fields = {
-            "max_lag_records": max_lag_records,
-            "batch_records": batch_records,
-            "retry_attempts": retry_attempts,
-        }
-        given = {
-            name: value
-            for name, value in keyword_fields.items()
-            if value is not None
-        }
-        if config is None:
-            config = ReplicationConfig(**given)
-        elif given:
-            raise ConfigError(
-                "pass either a ReplicationConfig or keyword fields, not both"
-            )
         if self.replication is not None:
             self.replication.close()
-        self.replication = FailoverCoordinator(self, config).establish()
+        self.replication = FailoverCoordinator(self).establish()
         return self.replication
 
     def stop_replication(self) -> None:

@@ -42,7 +42,8 @@ DEFAULT_WORKER_MORSEL_BUCKETS: Tuple[float, ...] = (
 @dataclass
 class ObservabilityConfig:
     """Enable flags for tracing, metrics, the slow log and the flight
-    recorder.  Histogram buckets are the ``DEFAULT_*_BUCKETS`` above."""
+    recorder.  Histogram buckets are the ``DEFAULT_*_BUCKETS`` above;
+    the tracer's retention is :data:`repro.obs.span.MAX_RECENT_SPANS`."""
 
     #: Build a span tree (parse -> plan -> per-operator execute) per query.
     tracing: bool = True
@@ -51,8 +52,6 @@ class ObservabilityConfig:
     #: Total-ops threshold at or above which a statement lands in the
     #: slow-query log; ``None`` disables the ops trigger.
     slow_query_ops: Optional[int] = 10_000
-    #: How many completed root spans (recent queries) the tracer retains.
-    max_recent_spans: int = 32
     #: Keep a bounded ring of per-statement flight records plus
     #: per-fingerprint latency/ops histograms (requires ``metrics``).
     flight_recorder: bool = True
@@ -66,15 +65,6 @@ class ObservabilityConfig:
             raise ConfigError(
                 f"slow_query_ops must be a non-negative integer or None, "
                 f"got {self.slow_query_ops!r}"
-            )
-        if (
-            not isinstance(self.max_recent_spans, int)
-            or isinstance(self.max_recent_spans, bool)
-            or self.max_recent_spans < 1
-        ):
-            raise ConfigError(
-                f"max_recent_spans must be a positive integer, "
-                f"got {self.max_recent_spans!r}"
             )
 
     @property

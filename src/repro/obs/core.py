@@ -54,9 +54,7 @@ class Observability:
     def __init__(self, config: Optional[ObservabilityConfig] = None) -> None:
         self.config = config if config is not None else ObservabilityConfig()
         self.tracer: Optional[SpanTracer] = (
-            SpanTracer(self.config.max_recent_spans)
-            if self.config.tracing
-            else None
+            SpanTracer() if self.config.tracing else None
         )
         self.metrics: Optional[MetricsRegistry] = (
             MetricsRegistry() if self.config.metrics else None

@@ -116,17 +116,22 @@ class Span:
         )
 
 
+#: How many completed root spans (recent queries) a tracer retains.
+MAX_RECENT_SPANS = 32
+
+
 class SpanTracer:
     """Builds span trees from nested :meth:`span` context managers.
 
     The tracer keeps a stack of open spans (mirroring the counter-scope
-    stack) and a bounded deque of completed root spans — the most recent
-    queries — for EXPLAIN ANALYZE rendering and benchmark span export.
+    stack) and a bounded deque of the last :data:`MAX_RECENT_SPANS`
+    completed root spans — the most recent queries — for EXPLAIN
+    ANALYZE rendering and benchmark span export.
     """
 
-    def __init__(self, max_recent: int = 32) -> None:
+    def __init__(self) -> None:
         self._stack: List[Span] = []
-        self.recent: deque = deque(maxlen=max_recent)
+        self.recent: deque = deque(maxlen=MAX_RECENT_SPANS)
 
     @contextmanager
     def span(

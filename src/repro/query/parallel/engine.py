@@ -58,10 +58,7 @@ from repro.query.parallel.transport import (
     slice_packed,
 )
 from repro.query.plan import FilterNode, JoinNode, ScanNode
-from repro.query.vectorized.config import (
-    DEFAULT_MORSEL_SIZE,
-    DEFAULT_RETRY_ATTEMPTS,
-)
+from repro.query.vectorized.config import DEFAULT_MORSEL_SIZE
 from repro.query.vectorized.deref import batch_key
 from repro.query.vectorized.engine import BatchExecutor
 from repro.query.vectorized.kernels import (
@@ -88,7 +85,6 @@ class ParallelBatchExecutor(BatchExecutor):
         workers: int = 2,
         morsel_size: int = DEFAULT_MORSEL_SIZE,
         pool: str = "process",
-        retry_attempts: int = DEFAULT_RETRY_ATTEMPTS,
     ) -> None:
         super().__init__(catalog, result_cache)
         if workers < 2:
@@ -98,12 +94,7 @@ class ParallelBatchExecutor(BatchExecutor):
             )
         self.workers = int(workers)
         self.morsel_size = int(morsel_size)
-        self.scheduler = MorselScheduler(
-            catalog,
-            self.workers,
-            pool,
-            retry_attempts=retry_attempts,
-        )
+        self.scheduler = MorselScheduler(catalog, self.workers, pool)
 
     def close(self) -> None:
         """Release the worker pool and the catalog registration."""

@@ -11,7 +11,7 @@ logically unchanged data.
 
 **Self-healing.**  Failures are handled per morsel, not per run: a
 morsel whose future fails (a worker exception or a died worker process)
-is retried through the pool up to ``retry_attempts`` total runs, with
+is retried through the pool up to :data:`RETRY_ATTEMPTS` total runs, with
 the pool re-forked first whenever it broke.  A morsel
 that exhausts the pool budget is *quarantined*: only it re-executes
 inline, while every already-gathered result is kept.  If even the
@@ -51,7 +51,12 @@ from repro.query.parallel.transport import (
     TRACE_TELEMETRY,
     trace_request,
 )
-from repro.query.vectorized.config import DEFAULT_RETRY_ATTEMPTS
+
+#: Run attempts per morsel before it is quarantined to the inline
+#: executor: the first run plus one retry.  Enough to absorb any single
+#: transient worker failure without hiding a persistently failing
+#: morsel behind a long retry storm.  Retries re-dispatch immediately.
+RETRY_ATTEMPTS = 2
 
 #: Process-wide token source for catalog registration slots.
 _token_counter = itertools.count(1)
@@ -102,14 +107,10 @@ class MorselScheduler:
         catalog: Any,
         workers: int,
         pool_mode: str = "process",
-        retry_attempts: int = DEFAULT_RETRY_ATTEMPTS,
     ) -> None:
         self.catalog = catalog
         self.workers = int(workers)
         self.pool_mode = pool_mode
-        #: Pool runs per morsel before quarantine (first run included).
-        #: Retries re-dispatch immediately.
-        self.retry_attempts = max(1, int(retry_attempts))
         self.token = next(_token_counter)
         tasks.register_catalog(self.token, catalog)
         self._closed = False
@@ -523,7 +524,7 @@ class MorselScheduler:
             pending = []
             for index in failed:
                 attempts[index] += 1
-                if attempts[index] >= self.retry_attempts:
+                if attempts[index] >= RETRY_ATTEMPTS:
                     quarantined.append(index)
                 else:
                     pending.append(index)
@@ -610,7 +611,7 @@ class MorselScheduler:
         chaos runs exercise retry even under ``pool="inline"``.  After
         the budget the morsel is poisoned.
         """
-        remaining = self.retry_attempts if budget is None else max(1, budget)
+        remaining = RETRY_ATTEMPTS if budget is None else max(1, budget)
         last: Optional[BaseException] = None
         for attempt in range(remaining):
             try:

@@ -1,9 +1,10 @@
 """Execution-engine selection.
 
-``MainMemoryDatabase.configure_execution`` accepts either an
-:class:`ExecutionConfig` or its keyword fields; the default
-configuration keeps the tuple-at-a-time reference engine, so existing
-behaviour is unchanged unless a caller opts in.
+``MainMemoryDatabase.configure_execution`` takes the fields of
+:class:`ExecutionConfig` as keywords and keeps the result as
+``db.execution_config``; the default configuration keeps the
+tuple-at-a-time reference engine, so existing behaviour is unchanged
+unless a caller opts in.
 """
 
 from __future__ import annotations
@@ -29,12 +30,6 @@ ENGINES = ("tuple", "batch")
 #: (the deterministic mode for tests and CI).
 POOL_MODES = ("process", "inline")
 
-#: Run attempts per morsel before it is quarantined to the inline
-#: executor: the first run plus one retry.  Enough to absorb any single
-#: transient worker failure without hiding a persistently failing
-#: morsel behind a long retry storm.
-DEFAULT_RETRY_ATTEMPTS = 2
-
 
 @dataclass(frozen=True)
 class ExecutionConfig:
@@ -49,19 +44,12 @@ class ExecutionConfig:
     ``morsel_size`` sets the parallel work-unit size and the minimum
     input size worth parallelising; ``pool`` picks the worker-pool
     mode (see :data:`POOL_MODES`).
-
-    ``retry_attempts`` bounds how many times one morsel may run before
-    the scheduler quarantines it (first run included); a quarantined
-    morsel re-executes inline once, and only if that also fails does the
-    query die with :class:`~repro.errors.PoisonedMorselError`.
-    Retries re-dispatch immediately.
     """
 
     engine: str = "tuple"
     workers: int = 1
     morsel_size: int = DEFAULT_MORSEL_SIZE
     pool: str = "process"
-    retry_attempts: int = DEFAULT_RETRY_ATTEMPTS
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
@@ -91,11 +79,4 @@ class ExecutionConfig:
             raise ConfigError(
                 f"unknown pool mode {self.pool!r}; "
                 f"choose one of {POOL_MODES}"
-            )
-        if not isinstance(self.retry_attempts, int) or isinstance(
-            self.retry_attempts, bool
-        ) or self.retry_attempts < 1:
-            raise ConfigError(
-                f"retry_attempts must be a positive integer, "
-                f"got {self.retry_attempts!r}"
             )

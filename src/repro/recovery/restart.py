@@ -43,7 +43,7 @@ PartitionKey = Tuple[str, int]
 
 #: Total read attempts per partition during restart: the first read plus
 #: one retry, which heals any single transient read fault.
-DEFAULT_READ_ATTEMPTS = 2
+READ_ATTEMPTS = 2
 
 
 @dataclass
@@ -86,7 +86,6 @@ class RecoveryManager:
         catalog: Catalog,
         disk: SimulatedDisk = None,
         stable_log: StableLogBuffer = None,
-        read_attempts: int = DEFAULT_READ_ATTEMPTS,
     ) -> None:
         self.catalog = catalog
         self.disk = disk if disk is not None else SimulatedDisk()
@@ -94,7 +93,6 @@ class RecoveryManager:
             stable_log if stable_log is not None else StableLogBuffer()
         )
         self.log_device = LogDevice(self.disk, self.stable_log)
-        self.read_attempts = max(1, int(read_attempts))
         self._pending_background: List[PartitionKey] = []
         #: Whether the background reload inherits partial semantics.
         self._partial = False
@@ -215,7 +213,7 @@ class RecoveryManager:
     ) -> bool:
         """Reload one partition; False when it had to be quarantined.
 
-        Integrity failures are retried up to :attr:`read_attempts` total
+        Integrity failures are retried up to :data:`READ_ATTEMPTS` total
         reads — a *transient* read fault (the stored image is fine, the
         returned bytes were damaged in flight) heals on the re-read.  A
         persistently damaged image either quarantines (partial mode) or
@@ -224,7 +222,7 @@ class RecoveryManager:
         relation = self.catalog.relation(relation_name)
         pending = len(self.log_device.pending_for(relation_name, partition_id))
         last_error: Optional[RecoveryError] = None
-        for attempt in range(self.read_attempts):
+        for attempt in range(READ_ATTEMPTS):
             try:
                 partition = self.log_device.load_partition_with_merge(
                     relation_name, partition_id
@@ -235,7 +233,7 @@ class RecoveryManager:
                 # worth the re-read; a corrupt log record fails the
                 # retry deterministically and lands in quarantine.
                 last_error = exc
-                if attempt + 1 < self.read_attempts:
+                if attempt + 1 < READ_ATTEMPTS:
                     stats.read_retries += 1
                     obs_runtime.metric_inc(
                         "recovery_read_retries_total",

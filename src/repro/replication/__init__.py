@@ -10,7 +10,7 @@ into a partition donor when a partial restart quarantines damage
 (online heal).
 
 Zero overhead when off: nothing here is imported, and the log device's
-sink list stays empty, until ``db.configure_replication(...)`` runs.
+sink list stays empty, until ``db.configure_replication()`` runs.
 """
 
 from repro.replication.batch import (
@@ -19,7 +19,6 @@ from repro.replication.batch import (
     decode_batch,
     encode_batch,
 )
-from repro.replication.config import ReplicationConfig
 from repro.replication.coordinator import (
     FailoverCoordinator,
     HealStats,
@@ -34,7 +33,6 @@ __all__ = [
     "LogShipper",
     "PromotionStats",
     "ReplicaApplier",
-    "ReplicationConfig",
     "ShippedBatch",
     "corrupt_bytes",
     "decode_batch",

@@ -37,7 +37,7 @@ from repro.errors import (
 )
 from repro.obs import runtime as obs_runtime
 from repro.recovery.framing import frame, unframe
-from repro.replication.config import ReplicationConfig
+from repro.replication import shipper as shipping
 from repro.replication.replica import ReplicaApplier
 from repro.replication.shipper import LogShipper
 from repro.storage.partition import Partition
@@ -69,9 +69,8 @@ class HealStats:
 class FailoverCoordinator:
     """Wires one database's log device to a warm replica."""
 
-    def __init__(self, db, config: Optional[ReplicationConfig] = None) -> None:
+    def __init__(self, db) -> None:
         self.db = db
-        self.config = config or ReplicationConfig()
         self.replica: Optional[ReplicaApplier] = None
         self.shipper: Optional[LogShipper] = None
         self.state = "idle"
@@ -91,7 +90,7 @@ class FailoverCoordinator:
         """One disk image, framed for the hop, retrying transient reads."""
         manager = self.db.recovery
         last_error: Optional[RecoveryError] = None
-        for __ in range(self.config.retry_attempts):
+        for __ in range(shipping.SHIP_ATTEMPTS):
             try:
                 return frame(
                     manager.disk.read_partition(relation, partition_id)
@@ -134,7 +133,7 @@ class FailoverCoordinator:
                 partition_id,
                 self._read_image(relation_name, partition_id),
             )
-        self.shipper = LogShipper(self.replica, self.config, epoch=1)
+        self.shipper = LogShipper(self.replica, epoch=1)
         # The suffix absorbed before the tap was installed still needs
         # shipping: seed it and drain (best effort — establishment must
         # not fail on a flaky first hop; flush() calls catch up later).

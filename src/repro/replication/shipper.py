@@ -7,14 +7,14 @@ here.  The outbox drains in LSN order as CRC32-framed batches into
 the :class:`~repro.replication.replica.ReplicaApplier`, with
 acknowledged epochs/sequence numbers and
 a bounded apply-lag watermark: once the outbox exceeds
-``max_lag_records`` the next enqueue auto-ships (best effort — a
+:data:`MAX_LAG_RECORDS` the next enqueue auto-ships (best effort — a
 replica outage must never stall the primary's commit path).
 
 Every shipping hop is fault-aware: the ``repl.ship`` and ``repl.apply``
 points both fire *here*, before the replica applies — the shipper is the
 one place a hop's seeded fault decisions are drawn, so chaos runs replay
 exactly.
-Failed hops retry immediately, up to ``retry_attempts`` times.
+Failed hops retry immediately, up to :data:`SHIP_ATTEMPTS` times.
 """
 
 from __future__ import annotations
@@ -29,8 +29,19 @@ from repro.errors import (
 from repro.fault import runtime as fault_runtime
 from repro.obs import runtime as obs_runtime
 from repro.replication.batch import ShippedBatch, corrupt_bytes, encode_batch
-from repro.replication.config import ReplicationConfig
 from repro.replication.replica import ReplicaApplier
+
+#: Bounded apply lag: once this many records sit unacknowledged in the
+#: shipper's outbox, the next enqueue triggers an automatic ship.
+MAX_LAG_RECORDS = 512
+
+#: Records per shipped batch.
+BATCH_RECORDS = 256
+
+#: Attempts per shipping hop before the hop is abandoned (best-effort
+#: enqueue) or raised (explicit flush/promotion).  The coordinator's
+#: bootstrap image reads take the same budget.
+SHIP_ATTEMPTS = 3
 
 
 class LogShipper:
@@ -39,11 +50,9 @@ class LogShipper:
     def __init__(
         self,
         replica: ReplicaApplier,
-        config: Optional[ReplicationConfig] = None,
         epoch: int = 1,
     ) -> None:
         self.replica = replica
-        self.config = config or ReplicationConfig()
         self.epoch = int(epoch)
         #: Unacknowledged records, LSN order (the apply lag).
         self.outbox: List[Any] = []
@@ -74,7 +83,7 @@ class LogShipper:
         """
         self.outbox.extend(records)
         self._publish_lag()
-        if len(self.outbox) > self.config.max_lag_records:
+        if len(self.outbox) > MAX_LAG_RECORDS:
             self.ship(best_effort=True)
 
     # ------------------------------------------------------------------ #
@@ -90,7 +99,7 @@ class LogShipper:
         """
         shipped = 0
         while self.outbox:
-            batch_records = self.outbox[: self.config.batch_records]
+            batch_records = self.outbox[:BATCH_RECORDS]
             if not self._ship_one(batch_records, best_effort):
                 break
             shipped += len(batch_records)
@@ -107,7 +116,7 @@ class LogShipper:
         if self.outbox:
             raise ReplicationError(
                 f"replication flush left {len(self.outbox)} records "
-                f"unacknowledged after {self.config.retry_attempts} attempts"
+                f"unacknowledged after {SHIP_ATTEMPTS} attempts"
             )
         return shipped
 
@@ -119,7 +128,7 @@ class LogShipper:
         )
         data = encode_batch(batch)
         last_error: Optional[Exception] = None
-        for attempt in range(self.config.retry_attempts):
+        for attempt in range(SHIP_ATTEMPTS):
             if attempt:
                 self.ship_retries += 1
             wire = data

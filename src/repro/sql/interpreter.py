@@ -32,7 +32,7 @@ from repro.query.predicates import (
 )
 from repro.sql import parser as ast
 from repro.sql.prepared import PreparedStatement, bind_statement
-from repro.sql.template import lift, parse_template
+from repro.sql.template import insert_rows, lift, parse_template
 from repro.storage.schema import Field, FieldType, ForeignKey
 from repro.storage.temporary import TemporaryList
 
@@ -275,10 +275,8 @@ class SQLInterpreter:
     # ------------------------------------------------------------------ #
 
     def _run_insert(self, stmt: ast.Insert) -> list:
-        refs = []
-        for row in stmt.rows:
-            refs.append(self.db.insert(stmt.table, list(row)))
-        return refs
+        rows = [list(row) for row in stmt.rows]
+        return insert_rows(self.db, stmt.table, rows)
 
     def _run_update(self, stmt: ast.Update) -> int:
         predicate = _conditions_to_predicate(stmt.conditions)

@@ -194,18 +194,34 @@ def _lower_insert(db, statement: ast.Insert):
     )
 
     def insert(params: Sequence[Any]) -> list:
-        return [
-            db.insert(
-                table,
+        return insert_rows(
+            db,
+            table,
+            [
                 [
                     constant if slot is None else params[slot]
                     for slot, constant in row
-                ],
-            )
-            for row in rows
-        ]
+                ]
+                for row in rows
+            ],
+        )
 
     return insert
+
+
+def insert_rows(db, table: str, rows) -> list:
+    """Insert ``rows`` into ``table`` all or nothing: when a row fails,
+    the rows already inserted are deleted, newest first, and the error
+    re-raised.  Returns the new tuple pointers."""
+    refs = []
+    try:
+        for row in rows:
+            refs.append(db.insert(table, row))
+    except Exception:
+        for ref in reversed(refs):
+            db.delete(table, ref)
+        raise
+    return refs
 
 
 def _lower_point(db, statement):

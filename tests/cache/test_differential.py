@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 from repro.cache import CacheConfig
+from repro.cache import plan_cache as plan_cache_module
+from repro.cache import result_cache as result_cache_module
 from tests.conftest import build_figure1_db
 
 
@@ -60,10 +62,11 @@ def test_cached_workload_identical_to_uncached():
     assert cached_db.cache_stats()["result"]["hits"] > 0
 
 
-def test_small_capacity_still_correct():
+def test_small_capacity_still_correct(monkeypatch):
     baseline = _mixed_workload(build_figure1_db(), random.Random(13))
+    monkeypatch.setattr(plan_cache_module, "AST_CAPACITY", 2)
+    monkeypatch.setattr(plan_cache_module, "PLAN_CAPACITY", 2)
+    monkeypatch.setattr(result_cache_module, "RESULT_CAPACITY", 1)
     tiny = build_figure1_db()
-    tiny.configure_cache(
-        CacheConfig(ast_capacity=2, plan_capacity=2, result_capacity=1)
-    )
+    tiny.configure_cache(CacheConfig())
     assert _mixed_workload(tiny, random.Random(13)) == baseline

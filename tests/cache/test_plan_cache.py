@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cache import CacheConfig, LRUCache
+from repro.cache import plan_cache as plan_cache_module
+from repro.cache import result_cache as result_cache_module
 from repro.sql.template import lift
 from tests.conftest import build_figure1_db
 
@@ -85,11 +87,12 @@ class TestPlanCacheHits:
         # and repeats still return the right partition
         assert db.sql("SELECT Name FROM Employee WHERE Age < 30").materialize() == young
 
-    def test_plan_layer_capacity_evicts(self):
+    def test_plan_layer_capacity_evicts(self, monkeypatch):
+        monkeypatch.setattr(plan_cache_module, "AST_CAPACITY", 2)
+        monkeypatch.setattr(plan_cache_module, "PLAN_CAPACITY", 2)
+        monkeypatch.setattr(result_cache_module, "RESULT_CAPACITY", 2)
         db = build_figure1_db()
-        db.configure_cache(
-            CacheConfig(ast_capacity=2, plan_capacity=2, result_capacity=2)
-        )
+        db.configure_cache(CacheConfig())
         for age in range(20, 30):
             db.sql(f"SELECT Name FROM Employee WHERE Age > {age}")
         stats = db.cache_stats()

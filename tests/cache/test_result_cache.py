@@ -50,7 +50,7 @@ class TestSubtreeMemoization:
 
     def test_stale_entry_discarded(self):
         db = build_figure1_db()
-        cache = ResultCache(db.catalog, capacity=8)
+        cache = ResultCache(db.catalog)
         db.executor.result_cache = cache
         plan = ScanNode("Employee")
         db.executor.execute(plan)

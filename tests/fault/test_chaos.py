@@ -24,6 +24,7 @@ from repro.fault import runtime as fault_runtime
 from repro.instrument import counters_scope
 from repro.obs import runtime as obs_runtime
 from repro.query.parallel import fork_available
+from repro.query.parallel import scheduler
 from repro.query.plan import FilterNode, JoinNode, ProjectNode, ScanNode
 from repro.query.predicates import between, ge, gt, le, lt
 
@@ -133,7 +134,6 @@ def _run_pass(chaos: bool):
             workers=2,
             morsel_size=MORSEL,
             pool=POOL,
-            retry_attempts=3,
         )
         results = []
         with counters_scope() as counters:
@@ -148,7 +148,10 @@ def _run_pass(chaos: bool):
 
 
 @pytest.fixture(autouse=True)
-def clean_runtime():
+def clean_runtime(monkeypatch):
+    # The chaos plan fires pool.worker faults at a rate one retry per
+    # morsel cannot absorb; give every morsel three pool runs.
+    monkeypatch.setattr(scheduler, "RETRY_ATTEMPTS", 3)
     yield
     fault_runtime.deactivate()
     obs_runtime.deactivate()

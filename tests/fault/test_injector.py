@@ -4,12 +4,7 @@ import pytest
 
 from repro import MainMemoryDatabase
 from repro.errors import ConfigError, InjectedFaultError
-from repro.fault import (
-    FAULT_POINTS,
-    FaultConfig,
-    FaultInjector,
-    FaultPolicy,
-)
+from repro.fault import FAULT_POINTS, FaultInjector, FaultPolicy
 from repro.fault import runtime as fault_runtime
 
 
@@ -244,7 +239,7 @@ class TestConfigureFaults:
 
     def test_spec_keyword(self):
         # The one-line spec syntax is retired: faults are configured
-        # with FaultPolicy objects (or a FaultConfig) only.
+        # with FaultPolicy objects only.
         db = MainMemoryDatabase()
         with pytest.raises(TypeError):
             db.configure_faults(spec="seed=9;disk.read:action=corrupt")
@@ -258,13 +253,18 @@ class TestConfigureFaults:
         assert injector.seed == 9
 
     def test_config_and_kwargs_exclusive(self):
+        # FaultConfig is retired: seed and policies are keyword-only,
+        # so a positional config object is refused, alone or with them.
         db = MainMemoryDatabase()
-        with pytest.raises(ConfigError):
-            db.configure_faults(FaultConfig(), seed=1)
-        with pytest.raises(ConfigError):
-            db.configure_faults(
-                FaultConfig(), policies=[FaultPolicy("disk.read")]
-            )
+        policies = [FaultPolicy("disk.read")]
+        with pytest.raises(TypeError):
+            db.configure_faults((1, policies))
+        with pytest.raises(TypeError):
+            db.configure_faults((1, policies), seed=1)
+        with pytest.raises(TypeError):
+            db.configure_faults(1, policies)
+        assert db.fault_injector is None
+        assert fault_runtime.active() is None
 
     def test_env_hook(self, monkeypatch):
         # The environment hook is retired: setting it installs nothing.

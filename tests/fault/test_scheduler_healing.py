@@ -58,13 +58,12 @@ def db():
     return database
 
 
-def _executor(db, pool="inline", **kwargs):
+def _executor(db, pool="inline"):
     return ParallelBatchExecutor(
         db.catalog,
         workers=2,
         morsel_size=MORSEL,
         pool=pool,
-        **kwargs,
     )
 
 
@@ -142,7 +141,7 @@ class TestInlineHealing:
             fault_runtime.deactivate()
 
     def test_persistent_fault_poisons_morsel(self, db):
-        executor = _executor(db, retry_attempts=2)
+        executor = _executor(db)
         try:
             _activate([FaultPolicy("pool.worker")])  # never stops failing
             with pytest.raises(PoisonedMorselError) as err:
@@ -157,7 +156,7 @@ class TestInlineHealing:
         # The scheduler is not wedged by a poisoned morsel: with the
         # fault gone the next run succeeds.
         base_rows, base_counts = _run(BatchExecutor(db.catalog), PLAN)
-        executor = _executor(db, retry_attempts=2)
+        executor = _executor(db)
         try:
             _activate([FaultPolicy("pool.worker")])
             with pytest.raises(PoisonedMorselError):
@@ -173,7 +172,7 @@ class TestInlineHealing:
     def test_poison_metrics_exported(self, db):
         db_obs = MainMemoryDatabase()
         obs = db_obs.configure_observability(ObservabilityConfig())
-        executor = _executor(db, retry_attempts=2)
+        executor = _executor(db)
         try:
             _activate([FaultPolicy("pool.worker")])
             with pytest.raises(PoisonedMorselError):
@@ -221,7 +220,7 @@ class TestPooledHealing:
 
     def test_quarantined_morsel_runs_inline_once(self, db):
         base_rows, base_counts = _run(BatchExecutor(db.catalog), PLAN)
-        executor = _executor(db, pool="process", retry_attempts=2)
+        executor = _executor(db, pool="process")
         try:
             # Morsel 2 fails both pooled attempts; by the time the
             # quarantine path re-executes it inline the fault budget is

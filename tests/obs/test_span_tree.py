@@ -12,9 +12,14 @@ its own work plus its children's.
 
 from __future__ import annotations
 
+import pytest
+
+from repro import MainMemoryDatabase
+from repro.errors import ConfigError
 from repro.instrument import counters_scope
 from repro.obs import Observability, ObservabilityConfig
 from repro.obs import runtime as obs_runtime
+from repro.obs import span as span_module
 
 TWO_JOIN_SQL = (
     "SELECT Proj.Title, Emp.Name, Dept.Name FROM Proj "
@@ -138,9 +143,10 @@ class TestSpanHelpers:
         assert root.find("no-such-span") is None
         assert sum(1 for _ in root.walk()) >= 4  # query/parse/plan/op...
 
-    def test_recent_spans_bounded(self, chain_db):
+    def test_recent_spans_bounded(self, chain_db, monkeypatch):
+        monkeypatch.setattr(span_module, "MAX_RECENT_SPANS", 2)
         obs = chain_db.configure_observability(
-            ObservabilityConfig(metrics=False, max_recent_spans=2)
+            ObservabilityConfig(metrics=False)
         )
         for __ in range(5):
             chain_db.sql(POINT_SQL)
@@ -160,6 +166,20 @@ class TestLifecycle:
             ObservabilityConfig(tracing=False, metrics=False)
         ) is None
         assert obs_runtime.active() is None
+
+    @pytest.mark.parametrize("value", ["1", "0", "false", "off", ""])
+    def test_env_switch(self, monkeypatch, value):
+        # REPRO_OBS shares REPRO_REPLICATION's grammar: 1 is on; 0,
+        # false, off and empty are off.
+        monkeypatch.setenv("REPRO_OBS", value)
+        db = MainMemoryDatabase()
+        assert (db.observability is not None) == (value == "1")
+        assert obs_runtime.active() is db.observability
+
+    def test_env_switch_refuses_other_values(self, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS", "yes")
+        with pytest.raises(ConfigError, match="REPRO_OBS"):
+            MainMemoryDatabase()
 
     def test_activate_returns_previous(self):
         first = Observability(ObservabilityConfig(metrics=False))

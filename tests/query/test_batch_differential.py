@@ -30,7 +30,16 @@ from repro.query.plan import (
     ProjectNode,
     ScanNode,
 )
-from repro.query.predicates import between, eq, ge, gt, le, lt, ne
+from repro.query.predicates import (
+    Predicate,
+    between,
+    eq,
+    ge,
+    gt,
+    le,
+    lt,
+    ne,
+)
 from repro.query.vectorized import BatchExecutor
 
 SEED = 52486
@@ -182,6 +191,37 @@ def _plan_mix():
     return plans
 
 
+class _Residue(Predicate):
+    """A user-defined predicate: ``field % modulus == residue``.  It has
+    no batch lowering, so the batch engine evaluates it row by row
+    through a per-item field reader, and no fingerprint, so it stays out
+    of ``_plan_mix()`` (``test_plan_golden`` fingerprints every plan
+    there)."""
+
+    def __init__(self, field, modulus, residue):
+        self.field, self.modulus, self.residue = field, modulus, residue
+
+    def matches(self, read_field):
+        return read_field(self.field) % self.modulus == self.residue
+
+
+#: User predicates as a scan filter (alone and beside a compiled
+#: comparison) and as a filter above a sort-merge and a hash join.
+_USER_PREDICATE_PLANS = [
+    ScanNode("R", _Residue("B", 3, 1)),
+    ScanNode("R", gt("A", 10) & _Residue("B", 2, 0)),
+    FilterNode(ScanNode("R"), _Residue("A", 4, 3) | lt("B", 100)),
+    FilterNode(
+        JoinNode(ScanNode("R"), ScanNode("S"), "A", "A", "sort_merge"),
+        _Residue("B", 5, 2),
+    ),
+    FilterNode(
+        JoinNode(ScanNode("R"), ScanNode("S"), "A", "A", "hash"),
+        _Residue("S.Id", 3, 0),
+    ),
+]
+
+
 #: ORDER BY inputs: (plan, sort column) — INT and STR keys, with
 #: duplicates, over a scan, a filter and a join.
 _SORTS = [
@@ -248,6 +288,16 @@ def _assert_differential(db, plan, executor=None):
 @pytest.mark.parametrize("plan", _plan_mix(), ids=lambda p: p.explain())
 def test_plan_differential(db, plan):
     _assert_differential(db, plan)
+
+
+@pytest.mark.parametrize(
+    "plan", _USER_PREDICATE_PLANS, ids=lambda p: p.explain()
+)
+def test_user_predicate_differential(db, plan):
+    """A Predicate subclass the engine has never seen answers alike on
+    both engines: same rows, and equal counts off the hash kernels."""
+    _assert_differential(db, plan)
+    assert len(BatchExecutor(db.catalog).execute(plan)) > 0
 
 
 @pytest.mark.parametrize(

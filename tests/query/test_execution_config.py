@@ -79,10 +79,22 @@ class TestInvalidSettings:
             db.configure_execution(engine="tuple", workers=2)
 
     def test_config_object_and_keywords_conflict(self, db):
-        with pytest.raises(ConfigError, match="not both"):
+        # The config-object form is retired: keywords are the one form.
+        before = db.execution_config
+        with pytest.raises(TypeError):
             db.configure_execution(
                 ExecutionConfig(engine="batch"), workers=2
             )
+        with pytest.raises(TypeError):
+            db.configure_execution(ExecutionConfig(engine="batch"))
+        assert db.execution_config is before
+
+    def test_retry_attempts_is_retired(self, db):
+        # The morsel retry budget is the scheduler's RETRY_ATTEMPTS.
+        with pytest.raises(TypeError, match="retry_attempts"):
+            db.configure_execution(engine="batch", retry_attempts=3)
+        with pytest.raises(TypeError, match="retry_attempts"):
+            ExecutionConfig(engine="batch", retry_attempts=3)
 
     def test_invalid_config_leaves_executor_untouched(self, db):
         db.configure_execution(engine="batch")
@@ -107,11 +119,10 @@ class TestValidSettings:
         db.configure_execution()
 
     def test_config_object_round_trips(self, db):
-        config = ExecutionConfig(
+        db.configure_execution(engine="batch", workers=2, pool="inline")
+        assert db.execution_config == ExecutionConfig(
             engine="batch", workers=2, pool="inline"
         )
-        db.configure_execution(config)
-        assert db.execution_config is config
         db.configure_execution()
 
     def test_defaults(self):
@@ -120,7 +131,7 @@ class TestValidSettings:
         assert config.workers == 1
         assert config.pool == "process"
         assert POOL_MODES == ("process", "inline")
-        assert len(fields(ExecutionConfig)) == 5
+        assert len(fields(ExecutionConfig)) == 4
 
 
 class TestEnvironmentDefaults:

@@ -64,15 +64,20 @@ class TestConfigureExecution:
         assert db.execution_config.engine == "tuple"
 
     def test_config_and_kwargs_conflict(self, db):
-        with pytest.raises(ValueError):
+        # The fields are keyword-only: a config object is refused,
+        # alone or beside keywords.
+        before = db.execution_config
+        with pytest.raises(TypeError):
             db.configure_execution(ExecutionConfig(), engine="batch")
+        with pytest.raises(TypeError):
+            db.configure_execution(ExecutionConfig(engine="batch"))
+        assert db.execution_config is before
 
     def test_config_object_applies(self, db):
-        executor = db.configure_execution(
-            ExecutionConfig(engine="batch")
-        )
+        executor = db.configure_execution(engine="batch")
         assert executor.engine_name == "batch"
         assert type(executor) is BatchExecutor
+        assert db.execution_config == ExecutionConfig(engine="batch")
 
 
 class TestCompiledPredicates:

@@ -13,6 +13,7 @@ from repro.errors import InjectedFaultError
 from repro.fault import FaultPolicy
 from repro.fault import runtime as fault_runtime
 from repro.obs import runtime as obs_runtime
+from repro.replication import shipper as shipping
 from tests.conftest import EMPLOYEES, build_figure1_db
 
 
@@ -185,7 +186,7 @@ class TestCrashDuringReplication:
     """
 
     def test_mid_ship_corruption_replays_exactly(self, durable_db):
-        durable_db.configure_replication(retry_attempts=3)
+        durable_db.configure_replication()
         durable_db.insert("Employee", ["Shipley", 90, 30, 459])
         committed = _employee_names(durable_db)
         durable_db.configure_faults(
@@ -205,7 +206,7 @@ class TestCrashDuringReplication:
         assert len(durable_db.select("Employee", eq("Id", 90))) == 1
 
     def test_mid_apply_fault_replays_exactly(self, durable_db):
-        durable_db.configure_replication(retry_attempts=3)
+        durable_db.configure_replication()
         durable_db.insert("Employee", ["Applegate", 91, 33, 409])
         committed = _employee_names(durable_db)
         durable_db.configure_faults(
@@ -222,15 +223,14 @@ class TestCrashDuringReplication:
         assert _employee_names(durable_db) == committed
 
     def test_mid_promotion_multi_batch_replay_is_exactly_once(
-        self, durable_db
+        self, durable_db, monkeypatch
     ):
         # One record per batch: the promotion's suffix replay crosses
         # several faulted hops, and every record must apply once.  The
         # checkpoint pins the replay suffix to exactly the new inserts.
         durable_db.checkpoint()
-        durable_db.configure_replication(
-            batch_records=1, retry_attempts=3
-        )
+        monkeypatch.setattr(shipping, "BATCH_RECORDS", 1)
+        durable_db.configure_replication()
         for i in range(4):
             durable_db.insert(
                 "Employee", [f"Window{i}", 92 + i, 30 + i, 459]
@@ -249,12 +249,12 @@ class TestCrashDuringReplication:
         assert replica["records_skipped"] == 0
         assert _employee_names(durable_db) == committed
 
-    def test_faulted_promotion_replays_deterministically(self):
+    def test_faulted_promotion_replays_deterministically(self, monkeypatch):
+        monkeypatch.setattr(shipping, "BATCH_RECORDS", 1)
+
         def one_pass():
             db = build_figure1_db(durable=True)
-            db.configure_replication(
-                batch_records=1, retry_attempts=3
-            )
+            db.configure_replication()
             for i in range(3):
                 db.insert("Employee", [f"Det{i}", 80 + i, 40 + i, 411])
             db.configure_faults(

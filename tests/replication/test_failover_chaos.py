@@ -30,8 +30,10 @@ from repro.fault import runtime as fault_runtime
 from repro.instrument import counters_scope
 from repro.obs import runtime as obs_runtime
 from repro.query.parallel import fork_available
+from repro.query.parallel import scheduler
 from repro.query.plan import FilterNode, JoinNode, ProjectNode, ScanNode
 from repro.query.predicates import between, ge, gt, le, lt
+from repro.replication import shipper as shipping
 from repro.storage.partition import PartitionConfig
 
 #: Seed for the fault plan only — CI sweeps this via the chaos lane.
@@ -47,7 +49,12 @@ POOL = "process" if fork_available() else "inline"
 
 
 @pytest.fixture(autouse=True)
-def clean_runtime():
+def clean_runtime(monkeypatch):
+    # The chaos plan corrupts every second ship and fires pool.worker
+    # faults: five attempts per shipping hop and three pool runs per
+    # morsel absorb it.
+    monkeypatch.setattr(shipping, "SHIP_ATTEMPTS", 5)
+    monkeypatch.setattr(scheduler, "RETRY_ATTEMPTS", 3)
     yield
     fault_runtime.deactivate()
     obs_runtime.deactivate()
@@ -135,7 +142,7 @@ def _run_pass(chaos: bool):
     if chaos:
         # Replication comes up before the fault plan so the bootstrap
         # image reads stay fault-free; every later hop is fair game.
-        db.configure_replication(retry_attempts=5)
+        db.configure_replication()
     # Post-checkpoint commits exercise log merge (baseline) and log
     # shipping (chaos) — both passes must end with the same 20 rows.
     rng = random.Random(DATA_SEED + 2)
@@ -158,7 +165,6 @@ def _run_pass(chaos: bool):
             workers=2,
             morsel_size=MORSEL,
             pool=POOL,
-            retry_attempts=3,
         )
         plans = _plan_mix()
         results = []

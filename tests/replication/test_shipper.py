@@ -29,10 +29,10 @@ from repro.query.parallel import shm
 from repro.query.plan import ScanNode
 from repro.query.predicates import gt
 from repro.recovery.log import LogRecord
+from repro.replication import shipper as shipping
 from repro.replication import (
     LogShipper,
     ReplicaApplier,
-    ReplicationConfig,
     ShippedBatch,
     corrupt_bytes,
     decode_batch,
@@ -68,10 +68,9 @@ def _records(first_lsn: int, count: int):
     ]
 
 
-def _shipper(**config_kwargs):
+def _shipper():
     applier = ReplicaApplier(configs=CONFIGS)
-    shipper = LogShipper(applier, ReplicationConfig(**config_kwargs))
-    return applier, shipper
+    return applier, LogShipper(applier)
 
 
 class TestBatchCodec:
@@ -155,7 +154,7 @@ class TestEpochFencing:
 
     def test_straggler_from_demoted_primary_cannot_ship(self):
         """After promotion bumps the epoch, the old shipper is fenced."""
-        applier, shipper = _shipper(retry_attempts=2)
+        applier, shipper = _shipper()
         shipper.enqueue(_records(1, 3))
         assert shipper.flush() == 3
         # Promotion elsewhere fences the replica to a newer epoch.
@@ -167,8 +166,9 @@ class TestEpochFencing:
 
 
 class TestLogShipper:
-    def test_ship_drains_outbox_and_advances_ack(self):
-        applier, shipper = _shipper(batch_records=4)
+    def test_ship_drains_outbox_and_advances_ack(self, monkeypatch):
+        monkeypatch.setattr(shipping, "BATCH_RECORDS", 4)
+        applier, shipper = _shipper()
         shipper.enqueue(_records(1, 10))
         assert shipper.lag_records == 10
         assert shipper.flush() == 10
@@ -177,15 +177,16 @@ class TestLogShipper:
         assert shipper.batches_shipped == 3  # 4 + 4 + 2
         assert applier.records_applied == 10
 
-    def test_lag_bound_auto_ships(self):
-        applier, shipper = _shipper(max_lag_records=4)
+    def test_lag_bound_auto_ships(self, monkeypatch):
+        monkeypatch.setattr(shipping, "MAX_LAG_RECORDS", 4)
+        applier, shipper = _shipper()
         shipper.enqueue(_records(1, 5))
         # The enqueue crossed the bound and shipped on the commit path.
         assert shipper.lag_records == 0
         assert applier.records_applied == 5
 
     def test_injected_ship_fault_is_retried(self):
-        applier, shipper = _shipper(retry_attempts=3)
+        applier, shipper = _shipper()
         fault_runtime.activate(
             FaultInjector(
                 seed=3,
@@ -201,7 +202,7 @@ class TestLogShipper:
         assert applier.records_applied == 4
 
     def test_wire_corruption_is_rejected_then_reshipped(self):
-        applier, shipper = _shipper(retry_attempts=3)
+        applier, shipper = _shipper()
         fault_runtime.activate(
             FaultInjector(
                 seed=3,
@@ -216,8 +217,11 @@ class TestLogShipper:
         assert applier.batches_rejected == 1
         assert applier.records_applied == 4
 
-    def test_exhausted_retries_raise_on_flush_not_enqueue(self):
-        applier, shipper = _shipper(retry_attempts=2, max_lag_records=2)
+    def test_exhausted_retries_raise_on_flush_not_enqueue(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(shipping, "MAX_LAG_RECORDS", 2)
+        applier, shipper = _shipper()
         fault_runtime.activate(
             FaultInjector(
                 seed=3,
@@ -242,13 +246,11 @@ class TestShmTransport:
         # The shm shipping transport and the forked process channel
         # are retired: the replica is called in-process, and neither
         # setting is accepted any more.
-        with pytest.raises(TypeError):
-            ReplicationConfig(transport="shm")
-        with pytest.raises(TypeError):
-            ReplicationConfig(channel="process")
         db = _workload_db(replicate=False)
         with pytest.raises(TypeError):
             db.configure_replication(transport="shm")
+        with pytest.raises(TypeError):
+            db.configure_replication(channel="process")
 
 
 class TestReplicationConfig:
@@ -257,8 +259,16 @@ class TestReplicationConfig:
     )
     @pytest.mark.parametrize("value", [0, True, "3"])
     def test_config_rejects_non_positive_counts(self, field, value):
-        with pytest.raises(ConfigError, match=field):
-            ReplicationConfig(**{field: value})
+        # The three shipping counts are constants of the shipper module
+        # now: configure_replication takes no keyword, so every value
+        # of them is refused, a good one as well as a bad one.
+        db = _workload_db(replicate=False)
+        before = db.replication
+        with pytest.raises(TypeError, match=field):
+            db.configure_replication(**{field: value})
+        with pytest.raises(TypeError, match=field):
+            db.configure_replication(**{field: 3})
+        assert db.replication is before
 
 
 @pytest.mark.skipif(not shm.available(), reason="POSIX shared memory required")
